@@ -25,9 +25,8 @@
 #define SN40L_COE_COE_RUNTIME_H
 
 #include <functional>
-#include <list>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "coe/expert.h"
 #include "mem/free_list_allocator.h"
@@ -71,8 +70,14 @@ class CoeRuntime
     /**
      * @param hbm_region_bytes HBM set aside for expert segments
      *        (the "Expert Region" of Fig 9).
+     *
+     * Residency state is a dense table indexed by expert id, sized to
+     * @p zoo at construction: the zoo must not grow afterwards.
      */
     CoeRuntime(const ExpertZoo &zoo, std::int64_t hbm_region_bytes);
+
+    CoeRuntime(const CoeRuntime &) = delete;
+    CoeRuntime &operator=(const CoeRuntime &) = delete;
 
     // ----------------------------------------- synchronous protocol
 
@@ -155,18 +160,24 @@ class CoeRuntime
         evictionHook_ = std::move(hook);
     }
 
-    bool resident(int expert_id) const;
+    /** False for ids outside the zoo. */
+    bool resident(int expert_id) const { return find(expert_id) != nullptr; }
     /** Resident and fully loaded (state Loaded). */
-    bool loaded(int expert_id) const;
+    bool loaded(int expert_id) const
+    {
+        const Resident *r = find(expert_id);
+        return r != nullptr && r->state == ExpertState::Loaded;
+    }
     /** Resident with a transfer reserved or in flight. */
-    bool inFlight(int expert_id) const;
+    bool inFlight(int expert_id) const
+    {
+        const Resident *r = find(expert_id);
+        return r != nullptr && r->state != ExpertState::Loaded;
+    }
     ExpertState state(int expert_id) const; ///< panics if not resident
     int pinCount(int expert_id) const;
 
-    int residentCount() const
-    {
-        return static_cast<int>(lru_.size());
-    }
+    int residentCount() const { return residentCount_; }
 
     std::int64_t regionBytes() const { return region_.capacity(); }
     std::int64_t freeRegionBytes() const { return region_.freeBytes(); }
@@ -175,28 +186,62 @@ class CoeRuntime
     const sim::StatSet &stats() const { return stats_; }
 
   private:
+    /**
+     * One expert's slot in the dense table. Resident slots are linked
+     * into the LRU list through prev/next expert ids (-1 ends the
+     * list), so refreshing, inserting or evicting allocates nothing.
+     */
     struct Resident
     {
-        std::list<int>::iterator lruIt;
         std::int64_t offset = 0;
         ExpertState state = ExpertState::Loaded;
         int pins = 0;
+        int prev = -1; ///< toward the MRU end
+        int next = -1; ///< toward the LRU end
+        bool present = false;
     };
 
+    /** The resident slot of @p expert_id, or null (also out of range). */
+    const Resident *find(int expert_id) const
+    {
+        if (static_cast<std::size_t>(expert_id) >= table_.size())
+            return nullptr;
+        const Resident &r = table_[static_cast<std::size_t>(expert_id)];
+        return r.present ? &r : nullptr;
+    }
+    Resident &entry(int expert_id, const char *why);
+    /** Make @p expert_id resident at @p offset, at the MRU or LRU end. */
+    void insert(int expert_id, std::int64_t offset, ExpertState state,
+                bool most_recent);
+    void unlink(int expert_id);
+    void linkFront(int expert_id);
     /** Evict (or cancel) entries until @p need bytes allocate. */
     std::int64_t allocateEvicting(std::int64_t need, int &evictions,
                                   double &bytes_to_write_back);
-    void dropEntry(std::map<int, Resident>::iterator it);
-    Resident &entry(int expert_id, const char *why);
+    void dropEntry(int expert_id);
 
     const ExpertZoo &zoo_;
     mem::FreeListAllocator region_;
-    /** Most-recently-used at front. */
-    std::list<int> lru_;
-    std::map<int, Resident> resident_;
+    std::vector<Resident> table_; ///< indexed by expert id
+    int lruHead_ = -1;            ///< most recently used
+    int lruTail_ = -1;            ///< least recently used
+    int residentCount_ = 0;
     std::function<bool(int)> prefetchCancelHook_;
     std::function<void(int)> evictionHook_;
     sim::StatSet stats_;
+    // Hot counters resolved once (see StatSet::counter).
+    double &hitsStat_;
+    double &pendingHitsStat_;
+    double &missesStat_;
+    double &loadBytesStat_;
+    double &loadsCompletedStat_;
+    double &evictionsStat_;
+    double &writebackBytesStat_;
+    double &copybackSkippedStat_;
+    double &prefetchCancelsStat_;
+    double &prefetchReservationsStat_;
+    double &prefetchBytesStat_;
+    double &flushesStat_;
 };
 
 } // namespace sn40l::coe

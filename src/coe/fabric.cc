@@ -1,6 +1,7 @@
 #include "coe/fabric.h"
 
 #include "sim/log.h"
+#include "util/units.h"
 
 namespace sn40l::coe {
 
@@ -17,6 +18,13 @@ validateFabricConfig(const FabricConfig &cfg)
         sim::fatal("fabric: need at least one link buffer flit");
     if (cfg.flitBytes <= 0.0)
         sim::fatal("fabric: non-positive flit size");
+    double flit_seconds = cfg.flitBytes / (cfg.linkGbps * 1e9 / 8.0);
+    if (!(flit_seconds < sim::kHorizonSeconds))
+        sim::fatal("fabric: at --link-gbps " +
+                   util::formatGeneral(cfg.linkGbps) + " one " +
+                   util::formatGeneral(cfg.flitBytes) +
+                   "-byte flit takes longer than simulated time can "
+                   "span; raise --link-gbps");
     if (cfg.maxFlitsPerMessage < 1)
         sim::fatal("fabric: need at least one flit per message");
     if (cfg.requestOverheadBytes < 0.0)

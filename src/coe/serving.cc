@@ -15,6 +15,7 @@
 #include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/ticks.h"
+#include "util/units.h"
 
 namespace sn40l::coe {
 
@@ -58,13 +59,28 @@ validateServingConfig(const ServingConfig &cfg)
     if (cfg.mode == ServingMode::EventDriven) {
         if (cfg.streamRequests <= 0)
             sim::fatal("ServingConfig: non-positive streamRequests");
-        if (cfg.arrival == ArrivalProcess::Poisson &&
-            cfg.arrivalRatePerSec <= 0.0)
-            sim::fatal("ServingConfig: non-positive arrival rate");
+        if (cfg.arrival == ArrivalProcess::Poisson) {
+            if (cfg.arrivalRatePerSec <= 0.0)
+                sim::fatal("ServingConfig: non-positive arrival rate");
+            double span = static_cast<double>(cfg.streamRequests) /
+                cfg.arrivalRatePerSec;
+            if (!(span < sim::kHorizonSeconds))
+                sim::fatal("ServingConfig: --arrival-rate " +
+                           util::formatGeneral(cfg.arrivalRatePerSec) +
+                           " req/s spreads " +
+                           std::to_string(cfg.streamRequests) +
+                           " requests past the end of simulated time (" +
+                           util::formatGeneral(sim::kHorizonSeconds) +
+                           " s); raise --arrival-rate or lower --requests");
+        }
         if (cfg.arrival == ArrivalProcess::ClosedLoop && cfg.clients <= 0)
             sim::fatal("ServingConfig: non-positive client count");
         if (cfg.thinkSeconds < 0.0)
             sim::fatal("ServingConfig: negative think time");
+        if (!(cfg.thinkSeconds < sim::kHorizonSeconds))
+            sim::fatal("ServingConfig: --think " +
+                       util::formatGeneral(cfg.thinkSeconds) +
+                       " s runs past the end of simulated time");
         if (cfg.dmaEngines <= 0)
             sim::fatal("ServingConfig: need at least one DMA engine");
         if (cfg.prefetchDepth < 0)

@@ -62,7 +62,18 @@ ServingEngine::ServingEngine(sim::EventQueue &eq, const ServingConfig &cfg,
                              const PhaseCosts &costs, ExpertZoo zoo)
     : eq_(eq), cfg_(cfg), costs_(costs), zoo_(std::move(zoo)),
       runtime_(zoo_, effectiveExpertRegionBytes(cfg_, costs_)),
-      memsys_(eq, "memsys", platformMemoryConfig(cfg_))
+      memsys_(eq, "memsys", platformMemoryConfig(cfg_)),
+      experts_(static_cast<std::size_t>(zoo_.size())),
+      prefetchesIssuedStat_(stats_.counter("prefetches_issued")),
+      prefetchesCancelledStat_(stats_.counter("prefetches_cancelled")),
+      prefetchHitsStat_(stats_.counter("prefetch_hits")),
+      prefetchPartialHitsStat_(stats_.counter("prefetch_partial_hits")),
+      starvationOverridesStat_(
+          stats_.counter("affinity_starvation_overrides")),
+      shedRequestsStat_(stats_.counter("shed_requests")),
+      hedgeRefusedStat_(stats_.counter("hedge_duplicates_refused")),
+      hedgeCompletionsStat_(stats_.counter("hedge_duplicate_completions")),
+      cancelledQueuedStat_(stats_.counter("cancelled_queued"))
 {
     residentCapacity_ = static_cast<int>(
         static_cast<double>(runtime_.regionBytes()) /
@@ -102,17 +113,71 @@ ServingEngine::ServingEngine(sim::EventQueue &eq, const ServingConfig &cfg,
     // Eviction pressure reclaims speculative reservations: cancel the
     // queued DMA if it has not been issued yet.
     runtime_.setPrefetchCancelHook([this](int e) {
-        auto it = transferOf_.find(e);
-        if (it == transferOf_.end())
+        ExpertSlot &s = slot(e);
+        if (s.transfer == mem::kInvalidTransfer)
             return true;
-        if (!memsys_.cancel(it->second))
+        if (!memsys_.cancel(s.transfer))
             return false; // already streaming; it will land
-        transferOf_.erase(it);
-        prefetchOutstanding_.erase(e);
-        stats_.inc("prefetches_cancelled");
+        s.transfer = mem::kInvalidTransfer;
+        settlePrefetch(s);
+        prefetchesCancelledStat_ += 1.0;
         return true;
     });
-    runtime_.setEvictionHook([this](int e) { prefetchReady_.erase(e); });
+    runtime_.setEvictionHook([this](int e) { slot(e).prefetchReady = false; });
+}
+
+void
+ServingEngine::ExpertQueue::push(int id)
+{
+    // Ids arrive in ascending order except for re-dispatched requests,
+    // which keep their original (older) id.
+    if (ids.size() == head || id > ids.back()) {
+        ids.push_back(id);
+        return;
+    }
+    auto pos = std::upper_bound(
+        ids.begin() + static_cast<std::ptrdiff_t>(head), ids.end(), id);
+    ids.insert(pos, id);
+}
+
+void
+ServingEngine::ExpertQueue::erase(int id)
+{
+    if (id == oldest()) {
+        ++head;
+        if (head == ids.size()) {
+            clear();
+        } else if (head >= 64 && head * 2 >= ids.size()) {
+            ids.erase(ids.begin(),
+                      ids.begin() + static_cast<std::ptrdiff_t>(head));
+            head = 0;
+        }
+        return;
+    }
+    auto pos = std::lower_bound(
+        ids.begin() + static_cast<std::ptrdiff_t>(head), ids.end(), id);
+    ids.erase(pos);
+}
+
+bool
+ServingEngine::settlePrefetch(ExpertSlot &s)
+{
+    if (!s.prefetchOutstanding)
+        return false;
+    s.prefetchOutstanding = false;
+    --prefetchOutstandingCount_;
+    return true;
+}
+
+void
+ServingEngine::enqueueForExpert(int expert, int id)
+{
+    ExpertSlot &s = slot(expert);
+    if (s.queuedPos < 0) {
+        s.queuedPos = static_cast<int>(queuedExperts_.size());
+        queuedExperts_.push_back(expert);
+    }
+    s.queue.push(id);
 }
 
 void
@@ -145,20 +210,19 @@ ServingEngine::pickExpert()
 {
     const EngineRequest &front = queued_.begin()->second;
     if (batchCount_ - 1 - front.enqueuedAtBatch >= cfg_.affinityMaxSkips) {
-        stats_.inc("affinity_starvation_overrides");
+        starvationOverridesStat_ += 1.0;
         return front.expert;
     }
 
     int best = -1;
     bool best_resident = false;
-    int best_count = 0;
+    std::size_t best_count = 0;
     int best_oldest = 0;
-    for (const auto &kv : queuedByExpert_) {
-        int count = static_cast<int>(kv.second.size());
-        if (count == 0)
-            continue;
-        int oldest = *kv.second.begin();
-        bool res = runtime_.resident(kv.first);
+    for (int e : queuedExperts_) {
+        const ExpertQueue &q = slot(e).queue;
+        std::size_t count = q.count();
+        int oldest = q.oldest();
+        bool res = runtime_.resident(e);
         bool better;
         if (best < 0) {
             better = true;
@@ -170,7 +234,7 @@ ServingEngine::pickExpert()
             better = oldest < best_oldest;
         }
         if (better) {
-            best = kv.first;
+            best = e;
             best_resident = res;
             best_count = count;
             best_oldest = oldest;
@@ -183,15 +247,17 @@ void
 ServingEngine::onLoadDone(int e)
 {
     runtime_.completeLoad(e);
-    transferOf_.erase(e);
-    if (awaited_.erase(e) > 0) {
+    ExpertSlot &s = slot(e);
+    s.transfer = mem::kInvalidTransfer;
+    bool speculative = settlePrefetch(s);
+    if (s.awaited) {
+        s.awaited = false;
         --pendingLoads_;
-        prefetchOutstanding_.erase(e);
         maybeLaunch();
         return;
     }
-    if (prefetchOutstanding_.erase(e) > 0)
-        prefetchReady_.insert(e);
+    if (speculative)
+        s.prefetchReady = true;
 }
 
 /**
@@ -216,21 +282,22 @@ ServingEngine::maybePrefetch()
         if (cfg_.prefetchWindow > 0 && ++inspected > cfg_.prefetchWindow)
             break;
         const EngineRequest &r = kv.second;
-        if (static_cast<int>(prefetchOutstanding_.size()) >=
-            cfg_.prefetchDepth)
+        if (prefetchOutstandingCount_ >= cfg_.prefetchDepth)
             break;
         if (runtime_.resident(r.expert))
             continue;
         auto act = runtime_.beginPrefetch(r.expert);
         if (!act)
             break; // no free region block: stop speculating
-        stats_.inc("prefetches_issued");
+        prefetchesIssuedStat_ += 1.0;
         int e = r.expert;
-        transferOf_[e] = memsys_.load(
+        ExpertSlot &s = slot(e);
+        s.transfer = memsys_.load(
             ddrOffset_[static_cast<std::size_t>(e)], act->hbmOffset,
             act->bytesToLoad, mem::TransferPriority::Prefetch,
             [this, e]() { onLoadDone(e); });
-        prefetchOutstanding_.insert(e);
+        s.prefetchOutstanding = true;
+        ++prefetchOutstandingCount_;
     }
     samplePeakResident();
 }
@@ -374,6 +441,9 @@ ServingEngine::shouldShed(const EngineRequest &request) const
 void
 ServingEngine::injectAt(EngineRequest request)
 {
+    if (request.expert < 0 || request.expert >= zoo_.size())
+        sim::panic("ServingEngine: request " + std::to_string(request.id) +
+                   " for bad expert id " + std::to_string(request.expert));
     if (request.execSeconds <= 0.0)
         request.execSeconds = perPromptExec_;
     if (request.trafficBytes <= 0.0)
@@ -383,11 +453,11 @@ ServingEngine::injectAt(EngineRequest request)
         // refusing it is silent (the primary copy's fate is the one
         // the conservation ledger tracks).
         if (request.hedgeDuplicate) {
-            stats_.inc("hedge_duplicates_refused");
+            hedgeRefusedStat_ += 1.0;
             return;
         }
         ++shedCount_;
-        stats_.inc("shed_requests");
+        shedRequestsStat_ += 1.0;
         // Per-tenant shed counters, through cached stable references
         // (StatSet::counter): an overloaded SLO run sheds most
         // arrivals, so the string-keyed lookup must not sit on the
@@ -407,10 +477,10 @@ ServingEngine::injectAt(EngineRequest request)
     request.enqueuedAtBatch = batchCount_;
     if (firstArrival_ < 0)
         firstArrival_ = request.arrival;
-    if (affinity_)
-        queuedByExpert_[request.expert].insert(request.id);
     int id = request.id;
-    queued_.emplace(id, std::move(request));
+    int expert = request.expert;
+    if (queued_.emplace(id, std::move(request)).second && affinity_)
+        enqueueForExpert(expert, id);
     ++injectedCount_;
     if (!busy_)
         formBatch();
@@ -427,7 +497,12 @@ ServingEngine::extractQueued()
     for (const auto &kv : queued_)
         out.push_back(kv.second);
     queued_.clear();
-    queuedByExpert_.clear();
+    for (int e : queuedExperts_) {
+        ExpertSlot &s = slot(e);
+        s.queue.clear();
+        s.queuedPos = -1;
+    }
+    queuedExperts_.clear();
     // The extracted requests complete elsewhere; they no longer count
     // against this engine's in-flight work.
     injectedCount_ -= static_cast<std::int64_t>(out.size());
@@ -464,7 +539,7 @@ ServingEngine::cancelQueued(int id)
     touchDepth(queued_.size() - 1);
     eraseRequest(id, it->second.expert);
     --injectedCount_;
-    stats_.inc("cancelled_queued");
+    cancelledQueuedStat_ += 1.0;
     return true;
 }
 
@@ -472,12 +547,27 @@ void
 ServingEngine::eraseRequest(int id, int expert)
 {
     queued_.erase(id);
-    if (affinity_) {
-        auto it = queuedByExpert_.find(expert);
-        it->second.erase(id);
-        if (it->second.empty())
-            queuedByExpert_.erase(it);
-    }
+    if (!affinity_)
+        return;
+    ExpertSlot &s = slot(expert);
+    s.queue.erase(id);
+    if (s.queue.count() > 0)
+        return;
+    // Swap-remove from the queued-expert list.
+    int moved = queuedExperts_.back();
+    queuedExperts_[static_cast<std::size_t>(s.queuedPos)] = moved;
+    slot(moved).queuedPos = s.queuedPos;
+    queuedExperts_.pop_back();
+    s.queuedPos = -1;
+}
+
+void
+ServingEngine::takeRequest(std::map<int, EngineRequest>::iterator it)
+{
+    int id = it->first;
+    int expert = it->second.expert;
+    curBatch_.push_back(std::move(it->second));
+    eraseRequest(id, expert);
 }
 
 void
@@ -499,7 +589,7 @@ ServingEngine::finishBatch()
             // id (here its injection is un-counted so outstanding()
             // still converges to zero).
             --injectedCount_;
-            stats_.inc("hedge_duplicate_completions");
+            hedgeCompletionsStat_ += 1.0;
             continue;
         }
         latency_.record(seconds);
@@ -584,15 +674,13 @@ ServingEngine::formBatch()
     touchDepth(queued_.size());
 
     const std::size_t cap = static_cast<std::size_t>(cfg_.batch);
-    std::vector<EngineRequest> batch;
-    auto take_id = [&](int id) {
-        const EngineRequest &r = queued_.at(id);
-        batch.push_back(r);
-        eraseRequest(id, r.expert);
-    };
+    // curBatch_ is empty here (finishBatch or a crash cleared it);
+    // filling it in place keeps its capacity across batches.
+    std::vector<EngineRequest> &batch = curBatch_;
+    batch.clear();
     if (!affinity_) {
         while (!queued_.empty() && batch.size() < cap)
-            take_id(queued_.begin()->first);
+            takeRequest(queued_.begin());
     } else {
         // Take every queued request for the chosen expert, then
         // backfill spare slots with requests whose experts are already
@@ -602,59 +690,63 @@ ServingEngine::formBatch()
         // as the historical FIFO walk did, but through the per-expert
         // index so formation cost scales with distinct experts, not
         // queue depth.
-        int expert = pickExpert();
-        while (batch.size() < cap) {
-            // Re-find per take: eraseRequest drops the expert's entry
-            // (invalidating iterators) once its last queued request is
-            // taken.
-            auto it = queuedByExpert_.find(expert);
-            if (it == queuedByExpert_.end())
-                break;
-            take_id(*it->second.begin());
-        }
+        const ExpertQueue &chosen = slot(pickExpert()).queue;
+        while (batch.size() < cap && chosen.count() > 0)
+            takeRequest(queued_.find(chosen.oldest()));
         // Pass 2: oldest requests across resident experts. The
         // resident set cannot change mid-formation, so repeatedly
         // taking the minimum id over resident experts' ordered id sets
         // reproduces the old front-to-back resident scan.
         while (batch.size() < cap) {
             int best_id = -1;
-            for (const auto &kv : queuedByExpert_) {
-                if (!runtime_.resident(kv.first))
+            for (int e : queuedExperts_) {
+                if (!runtime_.resident(e))
                     continue;
-                int oldest = *kv.second.begin();
+                int oldest = slot(e).queue.oldest();
                 if (best_id < 0 || oldest < best_id)
                     best_id = oldest;
             }
             if (best_id < 0)
                 break;
-            take_id(best_id);
+            takeRequest(queued_.find(best_id));
         }
         // Pass 3: whatever is oldest overall.
         while (!queued_.empty() && batch.size() < cap)
-            take_id(queued_.begin()->first);
+            takeRequest(queued_.begin());
     }
     depthMark_ = eq_.now();
     occupancyTotal_ += static_cast<double>(batch.size());
 
     batchStart_ = eq_.now();
     routerDone_ = false;
-    awaited_.clear();
+    // Every awaited load of the previous batch landed before it could
+    // launch, so no slot is still awaited.
     pendingLoads_ = 0;
 
-    // Per-request accounting: the first request to touch a non-loaded
+    // The batch's distinct experts, ascending: the activation passes
+    // below walk them in id order.
+    std::vector<int> &experts = curBatchExperts_;
+    experts.clear();
+    for (const EngineRequest &r : batch)
+        experts.push_back(r.expert);
+    std::sort(experts.begin(), experts.end());
+    experts.erase(std::unique(experts.begin(), experts.end()),
+                  experts.end());
+
+    // Per-expert accounting: the first request to touch a non-loaded
     // expert is the miss; same-batch co-tenants ride along as hits
     // (matching the synchronous LRU accounting).
-    std::set<int> experts;
-    for (const EngineRequest &r : batch) {
-        if (!experts.insert(r.expert).second)
-            continue;
-        if (runtime_.loaded(r.expert)) {
-            if (prefetchReady_.erase(r.expert) > 0)
-                stats_.inc("prefetch_hits");
+    for (int e : experts) {
+        if (runtime_.loaded(e)) {
+            ExpertSlot &s = slot(e);
+            if (s.prefetchReady) {
+                s.prefetchReady = false;
+                prefetchHitsStat_ += 1.0;
+            }
         } else {
             ++missCount_;
-            if (runtime_.inFlight(r.expert))
-                stats_.inc("prefetch_partial_hits");
+            if (runtime_.inFlight(e))
+                prefetchPartialHitsStat_ += 1.0;
         }
     }
 
@@ -668,12 +760,12 @@ ServingEngine::formBatch()
         AsyncActivation act = runtime_.activateAsync(e);
         runtime_.pin(e);
         if (act.pending) {
-            auto it = transferOf_.find(e);
-            sim::simAssert(it != transferOf_.end(),
+            ExpertSlot &s = slot(e);
+            sim::simAssert(s.transfer != mem::kInvalidTransfer,
                            "serving: in-flight expert has no transfer");
-            memsys_.promote(it->second);
-            prefetchOutstanding_.erase(e);
-            awaited_.insert(e);
+            memsys_.promote(s.transfer);
+            settlePrefetch(s);
+            s.awaited = true;
             ++pendingLoads_;
         }
     }
@@ -685,17 +777,15 @@ ServingEngine::formBatch()
             continue;
         AsyncActivation act = runtime_.activateAsync(e);
         runtime_.pin(e);
-        awaited_.insert(e);
+        ExpertSlot &s = slot(e);
+        s.awaited = true;
         ++pendingLoads_;
-        transferOf_[e] = memsys_.load(
+        s.transfer = memsys_.load(
             ddrOffset_[static_cast<std::size_t>(e)], act.hbmOffset,
             act.bytesToLoad + act.bytesToWriteBack,
             mem::TransferPriority::Demand,
             [this, e]() { onLoadDone(e); });
     }
-
-    curBatch_ = std::move(batch);
-    curBatchExperts_.assign(experts.begin(), experts.end());
 
     // The demand activations above allocated region space; prefetch
     // reservations are sampled again inside maybePrefetch below.

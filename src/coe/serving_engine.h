@@ -32,7 +32,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "coe/coe_runtime.h"
@@ -333,6 +332,8 @@ class ServingEngine
     void onLoadDone(int expert);
     void maybePrefetch();
     void eraseRequest(int id, int expert);
+    /** Move the queued request at @p it into curBatch_. */
+    void takeRequest(std::map<int, EngineRequest>::iterator it);
     void formBatch();
     void maybeLaunch();
     void runNextPrompt();
@@ -372,8 +373,63 @@ class ServingEngine
     std::map<int, EngineRequest> queued_;
     bool busy_ = false;
     bool affinity_ = false;
-    /** Per-expert view of the queue (ExpertAffinity only). */
-    std::map<int, std::set<int>> queuedByExpert_;
+
+    /**
+     * Ids queued for one expert, ascending (ExpertAffinity only). The
+     * live ids are [head, ids.size()): taking the oldest advances
+     * head, so the common front pop moves nothing, and the buffer
+     * compacts once the dead prefix dominates.
+     */
+    struct ExpertQueue
+    {
+        std::vector<int> ids;
+        std::size_t head = 0;
+
+        std::size_t count() const { return ids.size() - head; }
+        int oldest() const { return ids[head]; }
+        void push(int id);
+        void erase(int id);
+        void clear()
+        {
+            ids.clear();
+            head = 0;
+        }
+    };
+
+    /**
+     * Dense per-expert engine state, indexed by expert id and sized to
+     * the zoo at construction.
+     */
+    struct ExpertSlot
+    {
+        /** Load in flight or queued for the expert, if any. */
+        mem::TransferId transfer = mem::kInvalidTransfer;
+        bool awaited = false;             ///< the formed batch waits on it
+        bool prefetchOutstanding = false; ///< speculative load pending
+        bool prefetchReady = false;       ///< landed speculation, unused
+        /** Position in queuedExperts_, -1 while nothing is queued. */
+        int queuedPos = -1;
+        ExpertQueue queue;
+    };
+
+    ExpertSlot &slot(int expert)
+    {
+        return experts_[static_cast<std::size_t>(expert)];
+    }
+    void enqueueForExpert(int expert, int id);
+    /** Clear @p s's outstanding speculation; @return whether it was set. */
+    bool settlePrefetch(ExpertSlot &s);
+
+    std::vector<ExpertSlot> experts_;
+    /**
+     * Experts with at least one queued request, in no particular
+     * order: pickExpert and the resident backfill walk only these.
+     * Their tie-break is the oldest queued id, unique per expert, so
+     * the walk order cannot change a pick.
+     */
+    std::vector<int> queuedExperts_;
+    /** Number of slots with prefetchOutstanding set. */
+    int prefetchOutstandingCount_ = 0;
 
     std::int64_t injectedCount_ = 0;
     std::int64_t completedCount_ = 0;
@@ -388,17 +444,15 @@ class ServingEngine
     sim::Tick firstArrival_ = -1, lastCompletion_ = 0;
 
     // ---- async expert-load state --------------------------------
-    std::map<int, mem::TransferId> transferOf_;
-    std::set<int> prefetchOutstanding_; ///< speculative subset
-    std::set<int> prefetchReady_; ///< landed speculations, unused yet
-    std::set<int> awaited_;       ///< experts the formed batch waits on
+    /** Number of slots with awaited set. */
     int pendingLoads_ = 0;
     bool routerDone_ = false;
     sim::Tick batchStart_ = 0;
     sim::Tick execStart_ = 0;
     std::size_t execIndex_ = 0;
     std::vector<EngineRequest> curBatch_;
-    std::vector<int> curBatchExperts_; ///< pinned for the batch
+    /** The batch's distinct experts, ascending; pinned for the batch. */
+    std::vector<int> curBatchExperts_;
     /** Join counter for the in-flight prompt's (compute, traffic). */
     int promptJoinPending_ = 0;
 
@@ -408,6 +462,17 @@ class ServingEngine
     double queueDepthMax_ = 0.0;
 
     std::int64_t peakResidentBytes_ = 0;
+
+    // Hot counters resolved once (see StatSet::counter).
+    double &prefetchesIssuedStat_;
+    double &prefetchesCancelledStat_;
+    double &prefetchHitsStat_;
+    double &prefetchPartialHitsStat_;
+    double &starvationOverridesStat_;
+    double &shedRequestsStat_;
+    double &hedgeRefusedStat_;
+    double &hedgeCompletionsStat_;
+    double &cancelledQueuedStat_;
 };
 
 } // namespace sn40l::coe

@@ -13,6 +13,7 @@
 #include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/ticks.h"
+#include "util/units.h"
 
 namespace sn40l::coe {
 
@@ -23,6 +24,25 @@ using sim::mix64; // decorrelates per-tenant seeds
 /** The arrivals-Rng salt the historical drivers used; kept verbatim
  *  so legacy gap sequences stay bit-identical. */
 constexpr std::uint64_t kArrivalSalt = 0xa55a5aa5a55a5aa5ULL;
+
+/**
+ * Tick of a generated time of @p seconds, which must stay within
+ * sim::kHorizonSeconds; @p hint names the input that pushed it past.
+ */
+sim::Tick
+generatedTick(double seconds, const char *hint)
+{
+    if (!(seconds < sim::kHorizonSeconds))
+        sim::fatal(std::string("workload: a generated time of ") +
+                   util::formatGeneral(seconds) +
+                   " s runs past the end of simulated time (" +
+                   util::formatGeneral(sim::kHorizonSeconds) + " s); " +
+                   hint);
+    return sim::fromSeconds(seconds);
+}
+
+constexpr const char *kArrivalHint =
+    "raise --arrival-rate or lower --requests";
 
 } // namespace
 
@@ -125,7 +145,7 @@ class OpenLoopWorkload : public WorkloadModel
         ++scheduled_;
         double rate = shape_.instantaneous(baseRate_, arrivalT_) * factor_;
         arrivalT_ += -std::log(1.0 - arrivals_.uniformDouble()) / rate;
-        eq().schedule(sim::fromSeconds(arrivalT_),
+        eq().schedule(generatedTick(arrivalT_, kArrivalHint),
                       [this]() {
                           scheduleNext();
                           TrafficRequest r;
@@ -335,7 +355,7 @@ class MultiTenantWorkload : public WorkloadModel
         double rate =
             t.spec.shape.instantaneous(t.rate, t.arrivalT) * factor_;
         t.arrivalT += t.arrivals.exponential(1.0 / rate);
-        eq().schedule(sim::fromSeconds(t.arrivalT),
+        eq().schedule(generatedTick(t.arrivalT, kArrivalHint),
                       [this, ti]() {
                           scheduleNext(ti);
                           emitTurn(ti, -1, 0, -1);
@@ -397,8 +417,9 @@ class MultiTenantWorkload : public WorkloadModel
         int session = request.session;
         int turn = request.turn + 1;
         int expert = request.expert;
-        sim::Tick think = sim::fromSeconds(
-            t.draws.exponential(t.spec.thinkMeanSeconds));
+        sim::Tick think =
+            generatedTick(t.draws.exponential(t.spec.thinkMeanSeconds),
+                          "lower --session-think");
         eq().scheduleIn(think,
                         [this, ti, session, turn, expert]() {
                             emitTurn(ti, session, turn, expert);
@@ -708,6 +729,11 @@ validateWorkloadConfig(const ServingConfig &cfg)
         sim::fatal("WorkloadConfig: sessions need at least one turn");
     if (w.sessionThinkSeconds < 0.0)
         sim::fatal("WorkloadConfig: negative session think time");
+    if (!(w.sessionThinkSeconds < sim::kHorizonSeconds))
+        sim::fatal("WorkloadConfig: --session-think " +
+                   util::formatGeneral(w.sessionThinkSeconds) +
+                   " s runs past the end of simulated time (" +
+                   util::formatGeneral(sim::kHorizonSeconds) + " s)");
     validateShape(w.shape, "WorkloadConfig");
     if (w.multiTenant() && cfg.arrival == ArrivalProcess::ClosedLoop)
         sim::fatal("WorkloadConfig: tenant mixes and sessions are "

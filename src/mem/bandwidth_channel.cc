@@ -44,6 +44,10 @@ BandwidthChannel::book(double bytes)
 
     sim::Tick start = std::max(eq_.now(), busyUntil_);
     sim::Tick duration = estimate(bytes);
+    if (duration > sim::kMaxTick - latency_ - start)
+        sim::fatal("BandwidthChannel " + name_ +
+                   ": a transfer would end past the end of simulated time "
+                   "(~106 days); the bandwidth is too low");
     sim::Tick end = start + duration;
     busyUntil_ = end;
 

@@ -63,35 +63,52 @@ InterleavedMemory::bookAccess(std::int64_t addr, double bytes)
     accessesStat_ += 1.0;
     bytesStat_ += bytes;
 
-    // Closed-form split of the contiguous range: count whole
-    // interleave lines per channel over [first_line, last_line], then
-    // trim the truncated leading and trailing lines. O(channels)
-    // regardless of size — bulk streams (hundreds of GB of decode
-    // traffic per prompt) must not walk line by line.
-    std::fill(scratch_.begin(), scratch_.end(), 0.0);
-    std::int64_t total = static_cast<std::int64_t>(bytes);
-    if (total > 0) {
-        const std::int64_t line = interleaveBytes_;
-        const std::int64_t chans =
-            static_cast<std::int64_t>(channels_.size());
-        const std::int64_t last_addr = addr + total - 1;
-        const std::int64_t first_line = addr / line;
-        const std::int64_t last_line = last_addr / line;
-        for (std::int64_t c = 0; c < chans; ++c) {
-            std::int64_t first_k = first_line +
-                (((c - first_line % chans) % chans) + chans) % chans;
-            if (first_k > last_line)
-                continue;
-            std::int64_t lines = (last_line - first_k) / chans + 1;
-            scratch_[static_cast<std::size_t>(c)] =
-                static_cast<double>(lines * line);
-        }
-        scratch_[static_cast<std::size_t>(channelOf(addr))] -=
-            static_cast<double>(addr % line);
-        scratch_[static_cast<std::size_t>(channelOf(last_addr))] -=
-            static_cast<double>(line - 1 - last_addr % line);
+    // Closed-form split of the contiguous range [addr, addr + bytes):
+    // its nlines interleave lines rotate over the channels starting at
+    // first_line's channel, so every channel serves nlines / chans
+    // whole lines and the first nlines % chans channels of the
+    // rotation one more. The truncated leading line is trimmed from
+    // the first channel, then the trailing one from the last. O(chans)
+    // with no per-channel division, however large the access — bulk
+    // streams (hundreds of GB of decode traffic per prompt) must not
+    // walk line by line.
+    sim::Tick done = eq_.now();
+    const std::int64_t total = static_cast<std::int64_t>(bytes);
+    if (total <= 0)
+        return done;
+    if (addr < 0)
+        sim::panic("InterleavedMemory " + name_ + ": negative address");
+    const std::int64_t line = interleaveBytes_;
+    const std::int64_t chans = static_cast<std::int64_t>(channels_.size());
+    const std::int64_t last_addr = addr + total - 1;
+    const std::int64_t first_line = addr / line;
+    const std::int64_t last_line = last_addr / line;
+    const std::int64_t nlines = last_line - first_line + 1;
+    const std::int64_t whole = nlines / chans;
+    const std::int64_t extra = nlines % chans;
+    const std::int64_t first_chan = first_line % chans;
+    // The last line sits (nlines - 1) % chans channels past the first.
+    std::int64_t last_chan = first_chan + (extra == 0 ? chans : extra) - 1;
+    if (last_chan >= chans)
+        last_chan -= chans;
+    const double lead = static_cast<double>(addr - first_line * line);
+    const double trail =
+        static_cast<double>(line - 1 - (last_addr - last_line * line));
+    std::int64_t c = first_chan;
+    for (std::int64_t k = 0; k < chans; ++k) {
+        double share =
+            static_cast<double>((whole + (k < extra ? 1 : 0)) * line);
+        if (c == first_chan)
+            share -= lead;
+        if (c == last_chan)
+            share -= trail;
+        if (share > 0.0)
+            done = std::max(
+                done, channels_[static_cast<std::size_t>(c)]->book(share));
+        if (++c == chans)
+            c = 0;
     }
-    return bookScratch();
+    return done;
 }
 
 void

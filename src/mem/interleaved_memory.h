@@ -73,7 +73,10 @@ class InterleavedMemory
     sim::StatSet &stats() { return stats_; }
 
   private:
-    /** Book the per-channel byte shares in scratch_. @return done tick. */
+    /**
+     * Book the per-channel byte shares of a strided access, held in
+     * scratch_. @return done tick.
+     */
     sim::Tick bookScratch();
 
     sim::EventQueue &eq_;
@@ -81,7 +84,7 @@ class InterleavedMemory
     std::string doneLabel_;
     std::int64_t interleaveBytes_;
     std::vector<std::unique_ptr<BandwidthChannel>> channels_;
-    std::vector<double> scratch_; ///< per-channel split, reused per access
+    std::vector<double> scratch_; ///< strided per-channel split, reused
     sim::StatSet stats_;
     double &accessesStat_;
     double &bytesStat_;

@@ -23,7 +23,16 @@ MemorySystemConfig::validate() const
 
 MemorySystem::MemorySystem(sim::EventQueue &eq, std::string name,
                            const MemorySystemConfig &cfg)
-    : eq_(eq), name_(std::move(name)), stats_(name_)
+    : eq_(eq), name_(std::move(name)), stats_(name_),
+      demandLoadsStat_(stats_.counter("demand_loads")),
+      prefetchLoadsStat_(stats_.counter("prefetch_loads")),
+      cancelledLoadsStat_(stats_.counter("cancelled_loads")),
+      promotedLoadsStat_(stats_.counter("promoted_loads")),
+      trafficBytesStat_(stats_.counter("traffic_bytes")),
+      issuedLoadsStat_(stats_.counter("issued_loads")),
+      loadBytesStat_(stats_.counter("load_bytes")),
+      completedLoadsStat_(stats_.counter("completed_loads")),
+      enginesBusyMaxStat_(stats_.counter("engines_busy_max"))
 {
     cfg.validate();
     ddr_ = std::make_unique<InterleavedMemory>(
@@ -58,10 +67,10 @@ MemorySystem::load(std::int64_t ddr_addr, std::int64_t hbm_addr,
     job.onDone = std::move(on_done);
 
     if (priority == TransferPriority::Demand) {
-        stats_.inc("demand_loads");
+        demandLoadsStat_ += 1.0;
         demandQueue_.push_back(std::move(job));
     } else {
-        stats_.inc("prefetch_loads");
+        prefetchLoadsStat_ += 1.0;
         prefetchQueue_.push_back(std::move(job));
     }
     TransferId id = nextId_ - 1;
@@ -76,7 +85,7 @@ MemorySystem::cancel(TransferId id)
         for (auto it = queue->begin(); it != queue->end(); ++it) {
             if (it->id == id) {
                 queue->erase(it);
-                stats_.inc("cancelled_loads");
+                cancelledLoadsStat_ += 1.0;
                 return true;
             }
         }
@@ -93,7 +102,7 @@ MemorySystem::promote(TransferId id)
             job.priority = TransferPriority::Demand;
             prefetchQueue_.erase(it);
             demandQueue_.push_back(std::move(job));
-            stats_.inc("promoted_loads");
+            promotedLoadsStat_ += 1.0;
             return true;
         }
     }
@@ -103,7 +112,7 @@ MemorySystem::promote(TransferId id)
 void
 MemorySystem::traffic(double bytes, Callback on_done)
 {
-    stats_.inc("traffic_bytes", bytes);
+    trafficBytesStat_ += bytes;
     // Contiguous stream over the whole working set: spreads evenly
     // across every HBM channel, queueing behind in-flight DMA writes.
     hbm_->access(0, bytes, std::move(on_done));
@@ -140,14 +149,13 @@ MemorySystem::pump()
 void
 MemorySystem::issue(int engine_idx, Job job)
 {
-    stats_.inc("issued_loads");
-    stats_.inc("load_bytes", job.bytes);
-    stats_.max("engines_busy_max", [this] {
-        int busy = 0;
-        for (const auto &e : engines_)
-            busy += e->busy() ? 1 : 0;
-        return static_cast<double>(busy + 1);
-    }());
+    issuedLoadsStat_ += 1.0;
+    loadBytesStat_ += job.bytes;
+    int busy = 1; // the engine this job is about to occupy
+    for (const auto &e : engines_)
+        busy += e->busy() ? 1 : 0;
+    enginesBusyMaxStat_ =
+        std::max(enginesBusyMaxStat_, static_cast<double>(busy));
 
     TransferId id = job.id;
     inFlight_.emplace(id, std::move(job.onDone));
@@ -162,7 +170,7 @@ MemorySystem::completeLoad(TransferId id)
     auto it = inFlight_.find(id);
     Callback cb = std::move(it->second);
     inFlight_.erase(it);
-    stats_.inc("completed_loads");
+    completedLoadsStat_ += 1.0;
     if (cb)
         cb();
     pump();

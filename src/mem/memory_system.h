@@ -73,6 +73,9 @@ class MemorySystem
     MemorySystem(sim::EventQueue &eq, std::string name,
                  const MemorySystemConfig &cfg);
 
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
+
     /**
      * Queue an async DDR->HBM copy of @p bytes (reading the backing
      * tier at @p ddr_addr, writing the working tier at @p hbm_addr)
@@ -163,6 +166,16 @@ class MemorySystem
     std::map<TransferId, Callback> inFlight_;
 
     sim::StatSet stats_;
+    // Hot counters resolved once (see StatSet::counter).
+    double &demandLoadsStat_;
+    double &prefetchLoadsStat_;
+    double &cancelledLoadsStat_;
+    double &promotedLoadsStat_;
+    double &trafficBytesStat_;
+    double &issuedLoadsStat_;
+    double &loadBytesStat_;
+    double &completedLoadsStat_;
+    double &enginesBusyMaxStat_;
 };
 
 } // namespace sn40l::mem

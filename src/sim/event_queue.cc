@@ -149,6 +149,10 @@ EventQueue::scheduleIn(Tick delta, Callback cb, const char *name)
     if (delta < 0)
         panic("EventQueue: negative delta for event '" +
               std::string(name) + "'");
+    if (delta > kMaxTick - curTick_)
+        fatal("EventQueue: event '" + std::string(name) +
+              "' would land past the end of simulated time (~106 days); "
+              "the run's time inputs are too large");
     return schedule(curTick_ + delta, std::move(cb), name);
 }
 

@@ -424,6 +424,11 @@ Network::pump(int link)
     const Message &m = messages_[static_cast<std::size_t>(f.msg)];
     Tick ser = transferTicks(m.chunkBytes,
                              cfg_.linkBytesPerSec / l.rateFactor);
+    if (ser > kMaxTick - cfg_.linkLatency - now)
+        fatal("Network: a flit on link " + std::to_string(link) +
+              " would land past the end of simulated time (~106 days); "
+              "the link bandwidth is too low for this run (raise "
+              "--link-gbps)");
     l.freeAt = now + ser;
     l.busyTicks += ser;
     ++l.flits;

@@ -31,7 +31,32 @@ constexpr Tick fromPs(double ps) { return static_cast<Tick>(ps); }
 constexpr Tick fromNs(double ns) { return static_cast<Tick>(ns * kTicksPerNs); }
 constexpr Tick fromUs(double us) { return static_cast<Tick>(us * kTicksPerUs); }
 constexpr Tick fromMs(double ms) { return static_cast<Tick>(ms * kTicksPerMs); }
-constexpr Tick fromSeconds(double s) { return static_cast<Tick>(s * kTicksPerSec); }
+
+/** Simulated seconds the whole tick range spans (~106 days). */
+constexpr double kMaxSeconds =
+    static_cast<double>(kMaxTick) / static_cast<double>(kTicksPerSec);
+
+/**
+ * Latest simulated time a configured or generated input (an arrival, a
+ * think time, one flit's wire time) may reach: half the tick range,
+ * leaving the other half for the work it triggers.
+ */
+constexpr double kHorizonSeconds = kMaxSeconds / 2.0;
+
+/**
+ * Seconds to ticks, saturating: a product outside the tick range
+ * clamps to +-kMaxTick (NaN to kMaxTick) instead of overflowing the
+ * conversion, which is undefined behaviour.
+ */
+constexpr Tick
+fromSeconds(double s)
+{
+    double t = s * kTicksPerSec;
+    // 0x1p63 is exactly 2^63, one past kMaxTick.
+    if (t < 0x1p63 && t > -0x1p63)
+        return static_cast<Tick>(t);
+    return t < 0.0 ? -kMaxTick : kMaxTick;
+}
 
 constexpr double toNs(Tick t) { return static_cast<double>(t) / kTicksPerNs; }
 constexpr double toUs(Tick t) { return static_cast<double>(t) / kTicksPerUs; }
@@ -40,7 +65,8 @@ constexpr double toSeconds(Tick t) { return static_cast<double>(t) / kTicksPerSe
 
 /**
  * Time taken to move @p bytes at @p bytes_per_sec, as a tick count.
- * Rounds up so a nonzero transfer never takes zero time.
+ * Rounds up so a nonzero transfer never takes zero time, and saturates
+ * at kMaxTick when the transfer outlasts the tick range.
  */
 constexpr Tick
 transferTicks(double bytes, double bytes_per_sec)
@@ -48,7 +74,12 @@ transferTicks(double bytes, double bytes_per_sec)
     if (bytes <= 0.0 || bytes_per_sec <= 0.0)
         return 0;
     double seconds = bytes / bytes_per_sec;
-    Tick t = static_cast<Tick>(seconds * kTicksPerSec);
+    double ticks = seconds * kTicksPerSec;
+    // One compare on the booking hot path; it also sends NaN to the
+    // saturated branch.
+    if (!(ticks < 0x1p63))
+        return kMaxTick;
+    Tick t = static_cast<Tick>(ticks);
     return t > 0 ? t : 1;
 }
 

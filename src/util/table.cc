@@ -72,6 +72,14 @@ formatDouble(double value, int digits)
 }
 
 std::string
+formatGeneral(double value)
+{
+    std::ostringstream os;
+    os << value;
+    return os.str();
+}
+
+std::string
 formatBytes(double bytes)
 {
     const char *units[] = {"B", "KB", "MB", "GB", "TB", "PB"};

@@ -48,6 +48,9 @@ std::string formatSeconds(double seconds);
 /** Render a double with @p digits fractional digits. */
 std::string formatDouble(double value, int digits = 2);
 
+/** Render a double in printf's %g style, e.g. "1e-300" or "4.61169e+06". */
+std::string formatGeneral(double value);
+
 } // namespace util
 } // namespace sn40l
 

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "coe/coe_runtime.h"
 #include "coe/expert.h"
 #include "coe/footprint.h"
 #include "coe/router.h"
 #include "coe/serving.h"
+#include "mem/free_list_allocator.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 
 using namespace sn40l;
 using namespace sn40l::coe;
@@ -86,6 +91,330 @@ tinyZoo(int count, double bytes, double mutable_bytes = 0.0)
 }
 
 } // namespace
+
+namespace {
+
+/**
+ * Reference model of the CoeRuntime residency protocol on ordered
+ * containers: a std::map of residents and a std::list LRU (most recent
+ * at the front) over its own region allocator. The dense runtime must
+ * agree with it step for step.
+ */
+class RefRuntime
+{
+  public:
+    struct Entry
+    {
+        std::int64_t offset = 0;
+        ExpertState state = ExpertState::Loaded;
+        int pins = 0;
+    };
+
+    RefRuntime(const ExpertZoo &zoo, std::int64_t region)
+        : zoo_(zoo), region_(region, 1)
+    {
+    }
+
+    std::function<bool(int)> cancelHook;
+    std::vector<int> evicted;
+
+    AsyncActivation
+    activateAsync(int id)
+    {
+        AsyncActivation act;
+        auto it = resident.find(id);
+        if (it != resident.end()) {
+            touch(id, true);
+            act.hbmOffset = it->second.offset;
+            act.hit = it->second.state == ExpertState::Loaded;
+            act.pending = !act.hit;
+            return act;
+        }
+        const ExpertModel &e = zoo_.expert(id);
+        std::int64_t offset =
+            allocateEvicting(static_cast<std::int64_t>(e.bytes), act);
+        insert(id, offset, ExpertState::Loading, true);
+        act.bytesToLoad = e.bytes;
+        act.hbmOffset = offset;
+        return act;
+    }
+
+    std::optional<AsyncActivation>
+    beginPrefetch(int id)
+    {
+        if (resident.count(id) > 0)
+            return std::nullopt;
+        const ExpertModel &e = zoo_.expert(id);
+        auto offset = region_.allocate(static_cast<std::int64_t>(e.bytes));
+        if (!offset)
+            return std::nullopt;
+        insert(id, *offset, ExpertState::PrefetchReserved, false);
+        AsyncActivation act;
+        act.pending = true;
+        act.bytesToLoad = e.bytes;
+        act.hbmOffset = *offset;
+        return act;
+    }
+
+    void completeLoad(int id) { resident.at(id).state = ExpertState::Loaded; }
+    void cancelPrefetch(int id) { drop(id); }
+
+    int
+    flushUnpinned()
+    {
+        std::vector<int> victims;
+        for (const auto &kv : resident)
+            if (kv.second.state == ExpertState::Loaded && kv.second.pins == 0)
+                victims.push_back(kv.first);
+        for (int id : victims) {
+            evicted.push_back(id);
+            drop(id);
+        }
+        return static_cast<int>(victims.size());
+    }
+
+    std::int64_t freeBytes() const { return region_.freeBytes(); }
+
+    std::map<int, Entry> resident;
+
+  private:
+    void
+    touch(int id, bool front)
+    {
+        lru_.remove(id);
+        if (front)
+            lru_.push_front(id);
+        else
+            lru_.push_back(id);
+    }
+
+    void
+    insert(int id, std::int64_t offset, ExpertState state, bool front)
+    {
+        Entry e;
+        e.offset = offset;
+        e.state = state;
+        resident[id] = e;
+        touch(id, front);
+    }
+
+    void
+    drop(int id)
+    {
+        region_.free(resident.at(id).offset);
+        resident.erase(id);
+        lru_.remove(id);
+    }
+
+    std::int64_t
+    allocateEvicting(std::int64_t need, AsyncActivation &act)
+    {
+        for (;;) {
+            if (auto offset = region_.allocate(need))
+                return *offset;
+            bool freed = false;
+            for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+                int id = *it;
+                Entry &r = resident.at(id);
+                if (r.pins > 0 || r.state == ExpertState::Loading)
+                    continue;
+                if (r.state == ExpertState::PrefetchReserved) {
+                    if (cancelHook && !cancelHook(id)) {
+                        r.state = ExpertState::Loading;
+                        continue;
+                    }
+                } else {
+                    ++act.evictions;
+                    act.bytesToWriteBack += zoo_.expert(id).mutableBytes;
+                    evicted.push_back(id);
+                }
+                drop(id);
+                freed = true;
+                break;
+            }
+            if (!freed)
+                sim::fatal("reference region exhausted");
+        }
+    }
+
+    const ExpertZoo &zoo_;
+    mem::FreeListAllocator region_;
+    std::list<int> lru_;
+};
+
+/** Cancel decisions shared by both hooks: same calls, same answers. */
+struct CancelOracle
+{
+    std::uint64_t calls = 0;
+    bool operator()(int id) { return (id * 7 + calls++) % 3 != 0; }
+};
+
+void
+expectSameActivation(const AsyncActivation &got, const AsyncActivation &want)
+{
+    EXPECT_EQ(got.hit, want.hit);
+    EXPECT_EQ(got.pending, want.pending);
+    EXPECT_EQ(got.bytesToLoad, want.bytesToLoad);
+    EXPECT_EQ(got.bytesToWriteBack, want.bytesToWriteBack);
+    EXPECT_EQ(got.evictions, want.evictions);
+    EXPECT_EQ(got.hbmOffset, want.hbmOffset);
+}
+
+/** A random resident id of @p ref matching @p pred, or -1. */
+template <typename Pred>
+int
+pickResident(const RefRuntime &ref, sim::Rng &rng, Pred pred)
+{
+    std::vector<int> ids;
+    for (const auto &kv : ref.resident)
+        if (pred(kv.second))
+            ids.push_back(kv.first);
+    if (ids.empty())
+        return -1;
+    return ids[static_cast<std::size_t>(rng.uniformInt(ids.size()))];
+}
+
+/**
+ * Drive the dense CoeRuntime and the reference with the same seeded
+ * mix of protocol calls and compare them after every step.
+ */
+void
+runDifferential(const ExpertZoo &zoo, std::int64_t region, int steps,
+                std::uint64_t seed)
+{
+    CoeRuntime rt(zoo, region);
+    RefRuntime ref(zoo, region);
+    std::vector<int> evicted;
+    CancelOracle rt_oracle, ref_oracle;
+    rt.setEvictionHook([&](int id) { evicted.push_back(id); });
+    rt.setPrefetchCancelHook([&](int id) { return rt_oracle(id); });
+    ref.cancelHook = [&](int id) { return ref_oracle(id); };
+
+    sim::Rng rng(seed);
+    const int n = zoo.size();
+    for (int step = 0; step < steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        int id = static_cast<int>(
+            rng.uniformInt(static_cast<std::uint64_t>(n)));
+        // Bias toward a hot subset so hits, pins and evictions all occur.
+        if (rng.uniformDouble() < 0.6)
+            id %= std::max(1, n / 8);
+        std::uint64_t op = rng.uniformInt(100);
+        if (op < 35) {
+            bool rt_threw = false, ref_threw = false;
+            AsyncActivation got, want;
+            try {
+                got = rt.activateAsync(id);
+            } catch (const sim::FatalError &) {
+                rt_threw = true;
+            }
+            try {
+                want = ref.activateAsync(id);
+            } catch (const sim::FatalError &) {
+                ref_threw = true;
+            }
+            ASSERT_EQ(rt_threw, ref_threw);
+            if (!rt_threw)
+                expectSameActivation(got, want);
+        } else if (op < 50) {
+            auto got = rt.beginPrefetch(id);
+            auto want = ref.beginPrefetch(id);
+            ASSERT_EQ(got.has_value(), want.has_value());
+            if (got)
+                expectSameActivation(*got, *want);
+        } else if (op < 70) {
+            int e = pickResident(ref, rng, [](const RefRuntime::Entry &r) {
+                return r.state != ExpertState::Loaded;
+            });
+            if (e >= 0) {
+                rt.completeLoad(e);
+                ref.completeLoad(e);
+            }
+        } else if (op < 76) {
+            int e = pickResident(ref, rng, [](const RefRuntime::Entry &r) {
+                return r.state == ExpertState::PrefetchReserved && r.pins == 0;
+            });
+            if (e >= 0) {
+                rt.cancelPrefetch(e);
+                ref.cancelPrefetch(e);
+            }
+        } else if (op < 86) {
+            // Keep the pinned set small so demand activation can always
+            // find a victim in a healthy run.
+            int pinned = 0;
+            for (const auto &kv : ref.resident)
+                pinned += kv.second.pins > 0 ? 1 : 0;
+            int e = pickResident(ref, rng, [](const RefRuntime::Entry &) {
+                return true;
+            });
+            if (e >= 0 && pinned < 4) {
+                rt.pin(e);
+                ++ref.resident.at(e).pins;
+            }
+        } else if (op < 98) {
+            int e = pickResident(ref, rng, [](const RefRuntime::Entry &r) {
+                return r.pins > 0;
+            });
+            if (e >= 0) {
+                rt.unpin(e);
+                --ref.resident.at(e).pins;
+            }
+        } else {
+            EXPECT_EQ(rt.flushUnpinned(), ref.flushUnpinned());
+        }
+
+        ASSERT_EQ(evicted, ref.evicted);
+        ASSERT_EQ(rt.residentCount(), static_cast<int>(ref.resident.size()));
+        ASSERT_EQ(rt.freeRegionBytes(), ref.freeBytes());
+        for (const auto &kv : ref.resident) {
+            ASSERT_TRUE(rt.resident(kv.first));
+            EXPECT_EQ(rt.state(kv.first), kv.second.state);
+            EXPECT_EQ(rt.pinCount(kv.first), kv.second.pins);
+        }
+        if (step % 64 == 0) {
+            for (int e = 0; e < n; ++e)
+                ASSERT_EQ(rt.resident(e), ref.resident.count(e) > 0);
+        }
+    }
+    EXPECT_GT(ref.evicted.size(), 0u);
+
+    // Ids outside the zoo are never resident, and reading them stays
+    // inside the table.
+    for (int bad : {-1, n}) {
+        EXPECT_FALSE(rt.resident(bad));
+        EXPECT_FALSE(rt.loaded(bad));
+        EXPECT_FALSE(rt.inFlight(bad));
+    }
+}
+
+} // namespace
+
+TEST(CoeRuntime, DenseTableMatchesOrderedReference)
+{
+    // 150 experts of mixed sizes, some with mutable state, in a region
+    // that holds about a sixth of them.
+    ExpertZoo zoo;
+    for (int i = 0; i < 150; ++i) {
+        ExpertModel e;
+        e.name = "e" + std::to_string(i);
+        e.config = models::LlmConfig::llama2_7b();
+        e.bytes = 100.0 + 10.0 * (i % 7);
+        e.mutableBytes = i % 5 == 0 ? 3.0 : 0.0;
+        zoo.add(e);
+    }
+    runDifferential(zoo, 3000, 4000, 0xd1ffe7e1ULL);
+}
+
+TEST(CoeRuntime, DenseTableMatchesOrderedReferenceOnLoraZoo)
+{
+    ServingConfig cfg;
+    cfg.numExperts = 4000;
+    cfg.zoo.enabled = true;
+    cfg.zoo.rank = 16;
+    ExpertZoo zoo = buildServingZoo(cfg);
+    std::int64_t adapter = static_cast<std::int64_t>(zoo.expert(0).bytes);
+    runDifferential(zoo, 64 * adapter + adapter / 2, 4000, 0x10a2a00ULL);
+}
 
 TEST(CoeRuntime, HitsAndMisses)
 {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -257,4 +258,29 @@ TEST(Ticks, TransferTicksRoundsUpAndHandlesZero)
     EXPECT_EQ(sim::transferTicks(1e9, 1e9), sim::kTicksPerSec);
     // One byte at huge bandwidth still takes at least one tick.
     EXPECT_GE(sim::transferTicks(1.0, 1e15), 1);
+}
+
+TEST(Ticks, ConversionsSaturateInsteadOfOverflowing)
+{
+    EXPECT_EQ(sim::fromSeconds(1.5), 1500 * sim::kTicksPerMs);
+    EXPECT_EQ(sim::fromSeconds(1e300), sim::kMaxTick);
+    EXPECT_EQ(sim::fromSeconds(-1e300), -sim::kMaxTick);
+    EXPECT_EQ(sim::fromSeconds(std::nan("")), sim::kMaxTick);
+    EXPECT_EQ(sim::fromSeconds(sim::kMaxSeconds * 2.0), sim::kMaxTick);
+
+    EXPECT_EQ(sim::transferTicks(1e3, 1e9), sim::kTicksPerUs);
+    EXPECT_EQ(sim::transferTicks(1.0, 1e30), 1); // rounds up
+    EXPECT_EQ(sim::transferTicks(4096.0, 1.25e-4), sim::kMaxTick);
+    EXPECT_EQ(sim::transferTicks(1e300, 1.0), sim::kMaxTick);
+    EXPECT_EQ(sim::transferTicks(std::nan(""), 1.0), sim::kMaxTick);
+}
+
+TEST(EventQueue, DelayPastTheTickRangeIsAFatalError)
+{
+    EventQueue eq;
+    eq.schedule(1000, [&]() {
+        EXPECT_THROW(eq.scheduleIn(sim::kMaxTick, [] {}, "late"),
+                     sim::FatalError);
+    });
+    eq.run();
 }

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "coe/serving.h"
 #include "mem/interleaved_memory.h"
 #include "runtime/machine.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 
 using namespace sn40l;
 using sim::EventQueue;
@@ -132,6 +135,80 @@ TEST(InterleavedMemory, ValidatesConfig)
                  sim::FatalError);
     mem::InterleavedMemory ok(eq, "ok", 4, 1e9, 256);
     EXPECT_THROW(ok.channelOf(-1), sim::SimPanic);
+}
+
+namespace {
+
+/**
+ * Per-channel bytes of the contiguous access [addr, addr + bytes),
+ * found by walking it one interleave line at a time.
+ */
+std::vector<double>
+lineByLineSplit(std::int64_t addr, std::int64_t bytes, std::int64_t line,
+                int chans)
+{
+    std::vector<double> out(static_cast<std::size_t>(chans), 0.0);
+    std::int64_t end = addr + bytes;
+    for (std::int64_t a = addr; a < end;) {
+        std::int64_t line_end = (a / line + 1) * line;
+        std::int64_t take = std::min(line_end, end) - a;
+        out[static_cast<std::size_t>((a / line) % chans)] +=
+            static_cast<double>(take);
+        a += take;
+    }
+    return out;
+}
+
+/** Book one access and compare each channel's byte delta to the walk. */
+void
+expectSplitMatchesWalk(mem::InterleavedMemory &m, std::int64_t addr,
+                       std::int64_t bytes)
+{
+    int chans = m.numChannels();
+    std::vector<double> before;
+    for (int c = 0; c < chans; ++c)
+        before.push_back(m.channel(c).stats().get("bytes"));
+    m.bookAccess(addr, static_cast<double>(bytes));
+    std::vector<double> want =
+        lineByLineSplit(addr, bytes, m.interleaveBytes(), chans);
+    for (int c = 0; c < chans; ++c)
+        EXPECT_EQ(m.channel(c).stats().get("bytes") - before[c],
+                  want[static_cast<std::size_t>(c)])
+            << "channel " << c << " of " << chans << ", addr " << addr
+            << ", bytes " << bytes;
+}
+
+} // namespace
+
+TEST(InterleavedMemory, StripeSplitMatchesLineByLineWalk)
+{
+    sim::Rng rng(0x57121be5ULL);
+    for (int chans : {1, 3, 8, 16}) {
+        for (std::int64_t line : {64, 256, 1000}) {
+            EventQueue eq;
+            mem::InterleavedMemory m(eq, "hbm", chans, 100e9, line);
+            auto below = [&](std::int64_t n) {
+                return static_cast<std::int64_t>(
+                    rng.uniformInt(static_cast<std::uint64_t>(n)));
+            };
+            for (int trial = 0; trial < 200; ++trial) {
+                std::int64_t addr = below(64 * line * chans);
+                // Shorter than one interleave line.
+                expectSplitMatchesWalk(m, addr, 1 + below(line - 1));
+                // Exactly one aligned line.
+                expectSplitMatchesWalk(m, below(64) * line, line);
+                // Starting and ending on the same channel: the last
+                // line is a whole number of rotations past the first.
+                std::int64_t first = addr / line;
+                std::int64_t last = first + chans * (1 + below(4));
+                std::int64_t end = last * line + below(line);
+                expectSplitMatchesWalk(m, addr, end - addr + 1);
+                // Arbitrary unaligned ranges, up to several rotations.
+                expectSplitMatchesWalk(m, addr,
+                                       1 + below(8 * line * chans));
+            }
+        }
+    }
 }
 
 TEST(ServingConsistency, DesDmaAgreesWithAnalyticSwitchModel)

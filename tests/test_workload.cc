@@ -546,3 +546,66 @@ TEST(WorkloadValidation, RejectsContradictoryConfigs)
         EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError);
     }
 }
+
+// ------------------------------------------- out-of-range time inputs
+
+namespace {
+
+/** @p run must raise a FatalError whose message names @p flag. */
+template <typename Fn>
+void
+expectFatalNaming(Fn run, const std::string &flag)
+{
+    try {
+        run();
+        ADD_FAILURE() << "expected a FatalError naming " << flag;
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+            << e.what();
+    }
+}
+
+} // namespace
+
+TEST(TimeRange, VanishingArrivalRateNamesTheFlag)
+{
+    // A 1e300 s mean gap overflows the seconds -> ticks conversion: it
+    // must be refused by name, not wrap to a tick in the past.
+    ServingConfig cfg = streamConfig();
+    cfg.arrivalRatePerSec = 1e-300;
+    cfg.streamRequests = 50;
+    expectFatalNaming([&] { ServingSimulator(cfg).run(); },
+                      "--arrival-rate");
+}
+
+TEST(TimeRange, HugeSessionThinkNamesTheFlag)
+{
+    // A 1e300 s think time must be refused by name, not wrap to a
+    // negative delay.
+    ServingConfig cfg = streamConfig();
+    cfg.streamRequests = 50;
+    cfg.workload.sessionFollowProb = 0.5;
+    cfg.workload.sessionThinkSeconds = 1e300;
+    expectFatalNaming([&] { ServingSimulator(cfg).run(); },
+                      "--session-think");
+}
+
+TEST(TimeRange, VanishingLinkBandwidthNamesTheFlag)
+{
+    // At 1e-12 Gb/s one flit outlasts the tick range; wrapped flit
+    // times would finish the run with a plausible but wrong p95.
+    ClusterConfig cfg;
+    cfg.nodes = 4;
+    cfg.node.mode = ServingMode::EventDriven;
+    cfg.node.numExperts = 150;
+    cfg.node.streamRequests = 128;
+    cfg.node.arrivalRatePerSec = 32.0;
+    cfg.fabric.enabled = true;
+    cfg.fabric.topology = sim::Topology::Star;
+    cfg.fabric.linkGbps = 1e-12;
+    expectFatalNaming([&] { ClusterSimulator(cfg).run(); }, "--link-gbps");
+    // Slow enough to pass validation, too slow for the run: the flit
+    // path stops the run when its times leave the tick range.
+    cfg.fabric.linkGbps = 1e-8;
+    expectFatalNaming([&] { ClusterSimulator(cfg).run(); }, "--link-gbps");
+}
