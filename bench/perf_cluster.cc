@@ -4,41 +4,50 @@
  * measures how fast the multi-node ClusterSimulator runs, mirroring
  * bench/perf_serving for the single-node engine.
  *
- * Three passes:
+ * Four passes:
  *   1. serial legacy  — least-outstanding dispatch on the shared hub
  *      queue, the historical configuration behind the checked-in
  *      `events_per_sec` floor (unchanged, so the floor stays
  *      comparable across PRs);
- *   2. serial affinity — expert-affinity dispatch at threads=1, the
+ *   2. fabric         — the benchmark's cluster_fabric shape: 8 nodes
+ *      on a 1 Gb/s star fabric, round-robin, node 2's links x40 for
+ *      the middle half of the run (flit events and credit
+ *      backpressure), gated on requests/s;
+ *   3. serial affinity — expert-affinity dispatch at threads=1, the
  *      baseline the speedup is measured against (only with
  *      --threads N > 1);
- *   3. parallel       — the same affinity workload with sharded
- *      per-node event queues on N workers. The harness hard-fails if
- *      the parallel metrics diverge from pass 2: determinism is part
- *      of what this gate protects.
+ *   4. parallel       — the same affinity workload with sharded
+ *      per-node event queues on N workers, gated on requests/s (its
+ *      events/s counts mailbox deliveries, so it is information
+ *      only). The harness hard-fails if the parallel metrics diverge
+ *      from pass 3: determinism is part of what this gate protects.
  *
- * Workload: Zipf(1.0) over 150 experts, replicate-hot placement,
- * near-saturation open-loop arrivals — the configuration cluster
- * studies sweep.
+ * Workload (passes 1, 3, 4): Zipf(1.0) over 150 experts,
+ * replicate-hot placement, near-saturation open-loop arrivals — the
+ * configuration cluster studies sweep.
  *
  * Emits BENCH_cluster.json, stamped with the git commit and UTC
- * timestamp. With --floor FILE, exits non-zero if serial events/sec
- * (or, when --threads N was given, parallel events/sec) falls below
- * 80% of the checked-in floor — the CI regression gate (see
- * bench/perf_cluster_floor.json).
+ * timestamp. With --floor FILE, exits non-zero if serial events/sec,
+ * fabric requests/sec or (when --threads N was given) parallel
+ * requests/sec falls below 80% of its checked-in floor — the CI
+ * regression gate (see bench/perf_cluster_floor.json).
  *
  *   perf_cluster [--smoke] [--requests N] [--nodes N] [--threads N]
  *                [--json FILE] [--floor FILE]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "coe/cluster.h"
+#include "coe/faults.h"
 #include "perf_common.h"
 #include "util/json.h"
 
@@ -77,6 +86,25 @@ baseConfig(int nodes, int requests)
     return cfg;
 }
 
+/** The benchmark's cluster_fabric shape at @p requests. */
+coe::ClusterConfig
+fabricConfig(int requests)
+{
+    coe::ClusterConfig cfg = baseConfig(8, requests);
+    cfg.node.arrivalRatePerSec = 64.0;
+    cfg.placement = coe::PlacementPolicy::FullReplication;
+    cfg.dispatch = coe::DispatchPolicy::RoundRobin;
+    cfg.fabric.enabled = true;
+    cfg.fabric.topology = sim::Topology::Star;
+    cfg.fabric.linkGbps = 1.0;
+    double duration = requests / cfg.node.arrivalRatePerSec;
+    cfg.faults = std::make_shared<std::vector<coe::FaultEvent>>(
+        std::vector<coe::FaultEvent>{{0.25 * duration,
+                                      coe::FaultKind::LinkDegrade, 2,
+                                      40.0, 0.50 * duration}});
+    return cfg;
+}
+
 PassResult
 runPass(const coe::ClusterConfig &cfg, int requests, const char *label)
 {
@@ -99,6 +127,30 @@ eventsPerSec(const PassResult &pr)
     return pr.wall > 0.0
         ? static_cast<double>(pr.result.stream.eventsExecuted) / pr.wall
         : 0.0;
+}
+
+double
+requestsPerSec(const PassResult &pr, int requests)
+{
+    return pr.wall > 0.0 ? requests / pr.wall : 0.0;
+}
+
+/** Fail (return false) when @p value is below 80% of @p key's floor. */
+bool
+gate(const std::string &floor_path, const char *key, double value,
+     const char *unit)
+{
+    double floor = jsonNumber("perf_cluster", floor_path, key);
+    double limit = 0.8 * floor; // fail on >20% regression vs floor
+    if (value < limit) {
+        std::cerr << "perf_cluster: REGRESSION: " << key << " " << value
+                  << " " << unit << " < gate " << limit << " (floor "
+                  << floor << " from " << floor_path << ")\n";
+        return false;
+    }
+    std::cout << "floor check passed: " << key << " " << value << " "
+              << unit << " >= gate " << limit << "\n";
+    return true;
 }
 
 } // namespace
@@ -141,6 +193,9 @@ main(int argc, char **argv)
     }
     if (smoke && !requests_set)
         requests = 20'000;
+    // The fabric shape simulates ~40x fewer requests per host second
+    // than the serial pass; a tenth of the requests keeps it short.
+    const int fabric_requests = std::max(1, requests / 10);
     if (threads < 1) {
         std::cerr << "perf_cluster: --threads must be at least 1\n";
         return 1;
@@ -163,12 +218,27 @@ main(int argc, char **argv)
               << " requests/s, imbalance "
               << serial.result.loadImbalance << "\n";
 
-    // Passes 2+3: expert-affinity serial baseline vs the sharded
+    // Pass 2: the fabric shape.
+    PassResult fabric = runPass(fabricConfig(fabric_requests),
+                                fabric_requests, "fabric");
+    double fabric_rps = requestsPerSec(fabric, fabric_requests);
+    std::cout << "cluster fabric: 8 nodes, 1 Gb/s star, "
+              << fabric_requests << " requests, "
+              << fabric.result.stream.eventsExecuted << " events, "
+              << fabric.result.networkFlits << " flits in " << fabric.wall
+              << " s\n"
+              << "  " << static_cast<std::uint64_t>(fabric_rps)
+              << " requests/s, "
+              << static_cast<std::uint64_t>(eventsPerSec(fabric))
+              << " events/s\n";
+
+    // Passes 3+4: expert-affinity serial baseline vs the sharded
     // parallel run (least-outstanding needs cross-shard queue state
     // mid-window, so the parallel path rejects it).
     double affinity_wall = 0.0;
     double parallel_wall = 0.0;
     double parallel_eps = 0.0;
+    double parallel_rps = 0.0;
     double speedup = 0.0;
     if (threads > 1) {
         coe::ClusterConfig aff_cfg = baseConfig(nodes, requests);
@@ -181,6 +251,7 @@ main(int argc, char **argv)
         PassResult parallel = runPass(par_cfg, requests, "parallel");
         parallel_wall = parallel.wall;
         parallel_eps = eventsPerSec(parallel);
+        parallel_rps = requestsPerSec(parallel, requests);
         speedup = parallel_wall > 0.0 ? affinity_wall / parallel_wall
                                       : 0.0;
 
@@ -212,7 +283,9 @@ main(int argc, char **argv)
         std::cout << "cluster parallel: " << threads << " threads, "
                   << parallel.result.stream.eventsExecuted
                   << " events in " << parallel_wall << " s\n"
-                  << "  " << static_cast<std::uint64_t>(parallel_eps)
+                  << "  " << static_cast<std::uint64_t>(parallel_rps)
+                  << " requests/s, "
+                  << static_cast<std::uint64_t>(parallel_eps)
                   << " events/s, speedup " << speedup << "x over serial "
                   << "affinity (" << affinity_wall << " s)\n";
     }
@@ -233,14 +306,21 @@ main(int argc, char **argv)
             .field("events_executed",
                    serial.result.stream.eventsExecuted)
             .field("events_per_sec", serial_eps)
-            .field("requests_per_sec",
-                   serial.wall > 0.0 ? requests / serial.wall : 0.0)
+            .field("requests_per_sec", requestsPerSec(serial, requests))
             .field("load_imbalance", serial.result.loadImbalance)
+            .field("fabric_requests", fabric_requests)
+            .field("fabric_wall_seconds", fabric.wall)
+            .field("fabric_events_executed",
+                   fabric.result.stream.eventsExecuted)
+            .field("fabric_flits", fabric.result.networkFlits)
+            .field("fabric_req_per_sec", fabric_rps)
+            .field("fabric_events_per_sec", eventsPerSec(fabric))
             .field("peak_rss_bytes", rss);
         if (threads > 1) {
             w.field("parallel_threads", threads)
                 .field("serial_affinity_wall_seconds", affinity_wall)
                 .field("parallel_wall_seconds", parallel_wall)
+                .field("parallel_req_per_sec", parallel_rps)
                 .field("parallel_events_per_sec", parallel_eps)
                 .field(("speedup_" + std::to_string(threads) + "t")
                            .c_str(),
@@ -252,31 +332,15 @@ main(int argc, char **argv)
     std::cout << "wrote " << json_path << "\n";
 
     if (!floor_path.empty()) {
-        double floor =
-            jsonNumber("perf_cluster", floor_path, "events_per_sec");
-        double gate = 0.8 * floor; // fail on >20% regression vs floor
-        if (serial_eps < gate) {
-            std::cerr << "perf_cluster: REGRESSION: " << serial_eps
-                      << " events/s < gate " << gate << " (floor " << floor
-                      << " from " << floor_path << ")\n";
+        bool ok = gate(floor_path, "events_per_sec", serial_eps,
+                       "events/s");
+        ok = gate(floor_path, "fabric_req_per_sec", fabric_rps,
+                  "requests/s") && ok;
+        if (threads > 1)
+            ok = gate(floor_path, "parallel_req_per_sec", parallel_rps,
+                      "requests/s") && ok;
+        if (!ok)
             return 1;
-        }
-        std::cout << "floor check passed: " << serial_eps
-                  << " events/s >= gate " << gate << "\n";
-        if (threads > 1) {
-            double pfloor = jsonNumber("perf_cluster", floor_path,
-                                       "parallel_events_per_sec");
-            double pgate = 0.8 * pfloor;
-            if (parallel_eps < pgate) {
-                std::cerr << "perf_cluster: PARALLEL REGRESSION: "
-                          << parallel_eps << " events/s < gate " << pgate
-                          << " (floor " << pfloor << " from "
-                          << floor_path << ")\n";
-                return 1;
-            }
-            std::cout << "parallel floor check passed: " << parallel_eps
-                      << " events/s >= gate " << pgate << "\n";
-        }
     }
     return 0;
 }

@@ -2030,6 +2030,9 @@ ClusterSimulator::runParallel()
 
     // Land the hub clock on the run's true end time (the serial path's
     // final event tick) so finish()'s node-seconds accrual matches.
+    // The hub queue is empty here; run() moves its clock past the
+    // fabric's last reserved credit-return key, as a serial drain does.
+    rs.eq.run();
     sim::Tick endTick = rs.eq.now();
     for (RunState::Shard &sh : rs.shards)
         endTick = std::max(endTick, sh.eq.now());

@@ -10,13 +10,21 @@ validateFabricConfig(const FabricConfig &cfg)
 {
     if (!cfg.enabled)
         return;
-    if (cfg.linkGbps <= 0.0)
+    // Written as !(x >= 0) so that NaN fails too.
+    if (!(cfg.linkGbps > 0.0))
         sim::fatal("fabric: non-positive link bandwidth");
-    if (cfg.linkLatencyUs < 0.0)
-        sim::fatal("fabric: negative link latency");
+    if (!(cfg.linkLatencyUs >= 0.0))
+        sim::fatal("fabric: --link-latency-us " +
+                   util::formatGeneral(cfg.linkLatencyUs) +
+                   " is not a non-negative number");
+    if (!(cfg.linkLatencyUs * 1e-6 < sim::kHorizonSeconds))
+        sim::fatal("fabric: --link-latency-us " +
+                   util::formatGeneral(cfg.linkLatencyUs) +
+                   " is longer than simulated time can span; lower "
+                   "--link-latency-us");
     if (cfg.linkBufferFlits < 1)
         sim::fatal("fabric: need at least one link buffer flit");
-    if (cfg.flitBytes <= 0.0)
+    if (!(cfg.flitBytes > 0.0))
         sim::fatal("fabric: non-positive flit size");
     double flit_seconds = cfg.flitBytes / (cfg.linkGbps * 1e9 / 8.0);
     if (!(flit_seconds < sim::kHorizonSeconds))
@@ -27,10 +35,12 @@ validateFabricConfig(const FabricConfig &cfg)
                    "span; raise --link-gbps");
     if (cfg.maxFlitsPerMessage < 1)
         sim::fatal("fabric: need at least one flit per message");
-    if (cfg.requestOverheadBytes < 0.0)
-        sim::fatal("fabric: negative request overhead");
-    if (cfg.requestPayloadBytes < 0.0)
-        sim::fatal("fabric: negative request payload");
+    if (!(cfg.requestOverheadBytes >= 0.0))
+        sim::fatal("fabric: request overhead is not a non-negative "
+                   "number of bytes");
+    if (!(cfg.requestPayloadBytes >= 0.0))
+        sim::fatal("fabric: request payload is not a non-negative "
+                   "number of bytes");
 }
 
 sim::NetworkConfig

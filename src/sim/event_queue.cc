@@ -114,14 +114,24 @@ EventQueue::heapPop()
     return top;
 }
 
-EventQueue::Handle
-EventQueue::schedule(Tick when, Callback cb, const char *name)
+void
+EventQueue::seqExhaustedPanic()
 {
-    if (when < curTick_) {
-        panic("EventQueue: scheduling event '" + std::string(name) +
-              "' at tick " + std::to_string(when) + " in the past (now " +
-              std::to_string(curTick_) + ")");
-    }
+    panic("EventQueue: sequence counter exhausted (2^40 events); "
+          "same-tick FIFO order would silently break");
+}
+
+void
+EventQueue::pastReservationPanic(Tick when) const
+{
+    panic("EventQueue: reserving a key at tick " + std::to_string(when) +
+          " in the past (now " + std::to_string(curTick_) + ")");
+}
+
+EventQueue::Handle
+EventQueue::push(Tick when, std::uint64_t seq, Callback &cb,
+                 const char *name)
+{
     if (!cb)
         panic("EventQueue: scheduling empty callback '" +
               std::string(name) + "'");
@@ -131,16 +141,38 @@ EventQueue::schedule(Tick when, Callback cb, const char *name)
     slot.cb = std::move(cb);
     slot.name = name;
 
-    if (nextSeq_ >= (1ULL << 40))
-        panic("EventQueue: sequence counter exhausted (2^40 events); "
-              "same-tick FIFO order would silently break");
     HeapEntry entry;
     entry.when = when;
-    entry.seq = nextSeq_++;
+    entry.seq = seq;
     entry.slot = idx;
     heapPush(entry);
     ++pendingCount_;
     return Handle(this, idx, slot.gen);
+}
+
+EventQueue::Handle
+EventQueue::schedule(Tick when, Callback cb, const char *name)
+{
+    if (when < curTick_) {
+        panic("EventQueue: scheduling event '" + std::string(name) +
+              "' at tick " + std::to_string(when) + " in the past (now " +
+              std::to_string(curTick_) + ")");
+    }
+    return push(when, takeSeq(), cb, name);
+}
+
+EventQueue::Handle
+EventQueue::scheduleReserved(Tick when, std::uint64_t seq, Callback cb,
+                             const char *name)
+{
+    if (seq >= nextSeq_ || when < curTick_ ||
+        (when == curTick_ && seq <= curSeq_))
+        panic("EventQueue: event '" + std::string(name) + "' at key (" +
+              std::to_string(when) + ", " + std::to_string(seq) +
+              ") is not a reserved key after the current one (" +
+              std::to_string(curTick_) + ", " + std::to_string(curSeq_) +
+              ")");
+    return push(when, seq, cb, name);
 }
 
 EventQueue::Handle
@@ -169,6 +201,7 @@ EventQueue::step()
             continue;
         }
         curTick_ = top.when;
+        curSeq_ = top.seq;
         // Move the callback out and recycle the slot before invoking:
         // the callback may schedule new events, which can reuse (or
         // grow past) this slot.
@@ -200,6 +233,14 @@ EventQueue::run(Tick limit)
         if (step())
             ++executed;
     }
+    if (heap_.empty() && reservedUntil_ <= limit) {
+        // Drained: the reserved keys that were never scheduled pass
+        // like empty events. The drain takes a seq of its own, so a
+        // key reserved after it is still in the future.
+        if (reservedUntil_ > curTick_)
+            curTick_ = reservedUntil_;
+        curSeq_ = takeSeq();
+    }
     return executed;
 }
 
@@ -227,8 +268,10 @@ EventQueue::advanceTo(Tick when)
         panic("EventQueue: advanceTo(" + std::to_string(when) +
               ") would skip a pending event at tick " +
               std::to_string(next));
-    if (when > curTick_)
+    if (when > curTick_) {
         curTick_ = when;
+        curSeq_ = 0;
+    }
 }
 
 bool
@@ -245,6 +288,8 @@ EventQueue::reset()
     heap_.clear();
     pendingCount_ = 0;
     curTick_ = 0;
+    curSeq_ = 0;
+    reservedUntil_ = 0;
 }
 
 } // namespace sn40l::sim

@@ -83,10 +83,56 @@ class EventQueue
     /** Schedule @p cb to run @p delta ticks from now. */
     Handle scheduleIn(Tick delta, Callback cb, const char *name = "");
 
+    // ------------------------------------------------ reserved keys
+    //
+    // An event's key is (tick, seq); seq is drawn from one counter at
+    // schedule time, so same-tick events run in schedule order. A
+    // model that knows most of its future events would do nothing can
+    // reserve their keys instead of scheduling them, keep the keys in
+    // its own state, treat every key below the executing event's as
+    // having happened, and schedule only the few that act, each at
+    // its reserved key. Every other event keeps the seq it would have
+    // had, so the run's order is unchanged.
+
+    /**
+     * Reserve the next seq for a possible event at @p when (>= now).
+     * The reservation itself runs nothing, but the clock treats it as
+     * an empty event: when run() drains the queue, now() lands on the
+     * latest reserved tick (if within the limit) and every reserved
+     * key counts as passed.
+     */
+    std::uint64_t
+    reserve(Tick when)
+    {
+        if (when < curTick_)
+            pastReservationPanic(when);
+        if (when > reservedUntil_)
+            reservedUntil_ = when;
+        return takeSeq();
+    }
+
+    /**
+     * Seq of the executing event; with now() it is the current key,
+     * and every key below it has happened. Between events: the last
+     * executed event's seq; 0 (below every seq) at the start and
+     * after advanceTo() moved the clock; past every reserved key
+     * after run() drained the queue.
+     */
+    std::uint64_t currentSeq() const { return curSeq_; }
+
+    /**
+     * Schedule @p cb at the reserved key (@p when, @p seq). Panics if
+     * @p seq was never reserved or the key is not after the current
+     * one.
+     */
+    Handle scheduleReserved(Tick when, std::uint64_t seq, Callback cb,
+                            const char *name = "");
+
     /**
      * Run events until the queue drains or the next event would be
      * after @p limit (exclusive upper bound semantics: events at
-     * exactly @p limit still run).
+     * exactly @p limit still run). On a drain the clock also passes
+     * the reserved keys up to @p limit (see reserve()).
      *
      * @return number of events executed.
      */
@@ -116,6 +162,7 @@ class EventQueue
      * Jump the clock forward to @p when without executing anything.
      * Panics if an event earlier than @p when is still pending (that
      * would rewrite history); a @p when in the past is a no-op.
+     * Reserved keys below @p when count as passed.
      */
     void advanceTo(Tick when);
 
@@ -157,11 +204,24 @@ class EventQueue
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t idx);
+    std::uint64_t
+    takeSeq()
+    {
+        if (nextSeq_ >= (1ULL << 40))
+            seqExhaustedPanic();
+        return nextSeq_++;
+    }
+    [[noreturn]] void pastReservationPanic(Tick when) const;
+    [[noreturn]] static void seqExhaustedPanic();
+    Handle push(Tick when, std::uint64_t seq, Callback &cb,
+                const char *name);
     void heapPush(HeapEntry entry);
     HeapEntry heapPop();
 
     Tick curTick_ = 0;
-    std::uint64_t nextSeq_ = 0;
+    std::uint64_t curSeq_ = 0; ///< 0: before every seq at curTick_
+    std::uint64_t nextSeq_ = 1;
+    Tick reservedUntil_ = 0; ///< latest reserved tick
     std::uint64_t executedCount_ = 0;
     std::size_t pendingCount_ = 0;
     std::vector<Slot> pool_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/log.h"
 
@@ -39,13 +40,15 @@ validateNetworkConfig(const NetworkConfig &cfg)
 {
     if (cfg.endpoints < 1)
         fatal("NetworkConfig: need at least one endpoint");
-    if (cfg.linkBytesPerSec <= 0.0)
+    if (!(cfg.linkBytesPerSec > 0.0))
         fatal("NetworkConfig: non-positive link bandwidth");
     if (cfg.linkLatency < 0)
         fatal("NetworkConfig: negative link latency");
+    if (cfg.linkLatency > kMaxTick / 2)
+        fatal("NetworkConfig: link latency past half the tick range");
     if (cfg.bufferFlits < 1)
         fatal("NetworkConfig: need at least one buffer flit (credit)");
-    if (cfg.flitBytes <= 0.0)
+    if (!(cfg.flitBytes > 0.0))
         fatal("NetworkConfig: non-positive flit size");
     if (cfg.maxFlitsPerMessage < 1)
         fatal("NetworkConfig: need at least one flit per message");
@@ -74,6 +77,7 @@ Network::Network(EventQueue &eq, const NetworkConfig &cfg)
         buildFatTree();
         break;
     }
+    buildPorts();
 }
 
 int
@@ -159,6 +163,19 @@ Network::buildFatTree()
             addLink(E + l, E + leaves + s);
             addLink(E + leaves + s, E + l);
         }
+}
+
+void
+Network::buildPorts()
+{
+    std::vector<int> in_degree(static_cast<std::size_t>(numNodes_), 0);
+    for (Link &l : links_)
+        l.inSlot = in_degree[static_cast<std::size_t>(l.to)]++;
+    for (Link &l : links_)
+        l.portOf.assign(
+            static_cast<std::size_t>(
+                in_degree[static_cast<std::size_t>(l.from)]) + 1,
+            -1);
 }
 
 std::vector<int>
@@ -276,7 +293,7 @@ Network::setEndpointLinkFactor(int endpoint, double factor)
 {
     if (endpoint < 0 || endpoint >= cfg_.endpoints)
         fatal("Network: endpoint out of range");
-    if (factor < 1.0)
+    if (!(factor >= 1.0))
         fatal("Network: link degrade factor must be at least 1");
     for (Link &l : links_)
         if (l.from == endpoint || l.to == endpoint)
@@ -306,8 +323,8 @@ Network::freeMessage(int msg)
 void
 Network::send(int src, int dst, double bytes, Callback on_delivered)
 {
-    if (bytes < 0.0)
-        fatal("Network: negative message size");
+    if (!(bytes >= 0.0 && bytes <= std::numeric_limits<double>::max()))
+        fatal("Network: message size must be finite and non-negative");
     ++messagesSent_;
     if (src == dst) {
         // Local delivery: no link is touched, but the completion
@@ -325,8 +342,10 @@ Network::send(int src, int dst, double bytes, Callback on_delivered)
         return;
     }
     const std::vector<int> &path = route(src, dst);
-    int flits = static_cast<int>(std::ceil(bytes / cfg_.flitBytes));
-    flits = std::max(1, std::min(flits, cfg_.maxFlitsPerMessage));
+    double chunks = std::ceil(bytes / cfg_.flitBytes);
+    int flits = chunks < static_cast<double>(cfg_.maxFlitsPerMessage)
+        ? std::max(1, static_cast<int>(chunks))
+        : cfg_.maxFlitsPerMessage;
     int id = allocMessage();
     Message &m = messages_[static_cast<std::size_t>(id)];
     m.path = &path;
@@ -338,25 +357,32 @@ Network::send(int src, int dst, double bytes, Callback on_delivered)
     // The source NIC queues the whole message at once; credit-based
     // backpressure then paces it hop by hop (the injection queue is
     // the sender stalling, not a drop).
-    for (int f = 0; f < flits; ++f)
-        pushFlit(path[0], /*upstream_link=*/-1, id, 0);
+    pushFlits(path[0], /*upstream_link=*/-1, id, 0, flits);
     pump(path[0]);
 }
 
 void
-Network::pushFlit(int link, int upstream_link, int msg, int hop)
+Network::pushFlits(int link, int upstream_link, int msg, int hop,
+                   int count)
 {
     Link &l = links_[static_cast<std::size_t>(link)];
-    std::size_t port = 0;
-    for (; port < l.upstream.size(); ++port)
-        if (l.upstream[port] == upstream_link)
-            break;
-    if (port == l.upstream.size()) {
+    std::size_t slot = upstream_link < 0
+        ? l.portOf.size() - 1
+        : static_cast<std::size_t>(
+              links_[static_cast<std::size_t>(upstream_link)].inSlot);
+    // Ports open in first-push order; round-robin walks that order.
+    int &port = l.portOf[slot];
+    if (port < 0) {
+        port = static_cast<int>(l.q.size());
         l.upstream.push_back(upstream_link);
         l.q.emplace_back();
     }
-    l.q[port].push_back(Entry{msg, hop});
-    ++l.queued;
+    Fifo<Run> &fifo = l.q[static_cast<std::size_t>(port)];
+    if (!fifo.empty() && fifo.back().msg == msg && fifo.back().hop == hop)
+        fifo.back().count += count;
+    else
+        fifo.push_back(Run{msg, hop, count});
+    l.queued += count;
 }
 
 void
@@ -366,25 +392,93 @@ Network::arm(int link, Tick when)
     if (l.armed)
         return;
     l.armed = true;
-    eq_.schedule(
-        when,
+    l.txWhen = when;
+    l.txSeq = eq_.reserve(when);
+    eq_.scheduleReserved(
+        when, l.txSeq,
         [this, link]() {
             links_[static_cast<std::size_t>(link)].armed = false;
             pump(link);
         },
         "net.tx");
+    wakeOnCollision(link);
 }
 
+/**
+ * The downstream buffer slot of @p link frees: its credit lands one
+ * link latency from now, at the key a credit event scheduled here
+ * would have. Most returns never need that event; see wake().
+ */
 void
 Network::returnCredit(int link)
 {
-    eq_.schedule(
-        eq_.now() + cfg_.linkLatency,
+    Link &l = links_[static_cast<std::size_t>(link)];
+    Tick when = eq_.now() + cfg_.linkLatency;
+    Return r{when, eq_.reserve(when)};
+    l.returns.push_back(r);
+    // Flits queued and no transmit armed means no credits (the pump
+    // invariant): the link is starved and waits for exactly this
+    // return, unless an earlier one already has an event.
+    if (l.queued > 0 && !l.armed && !l.waking)
+        wake(link, r);
+}
+
+/** Credit every return of @p l whose key is below (now, below_seq). */
+void
+Network::creditReturns(Link &l, std::uint64_t below_seq)
+{
+    const Tick now = eq_.now();
+    while (!l.returns.empty()) {
+        const Return &r = l.returns.front();
+        if (r.when > now || (r.when == now && r.seq >= below_seq))
+            break;
+        l.returns.pop_front();
+        ++l.credits;
+    }
+}
+
+/**
+ * Give return @p r a real event. A credit return only matters to the
+ * link when it finds the link starved (after a stall, the first return
+ * restarts it) or lands on the armed transmit's tick ahead of it with
+ * the wire free (then it, not the transmit, sends the next flit);
+ * every other return would run a pump() that does nothing.
+ */
+void
+Network::wake(int link, Return r)
+{
+    links_[static_cast<std::size_t>(link)].waking = true;
+    eq_.scheduleReserved(
+        r.when, r.seq,
         [this, link]() {
-            ++links_[static_cast<std::size_t>(link)].credits;
+            Link &l = links_[static_cast<std::size_t>(link)];
+            l.waking = false;
+            creditReturns(l, eq_.currentSeq() + 1); // this one too
             pump(link);
+            wakeOnCollision(link);
         },
         "net.credit");
+}
+
+/**
+ * If a pending return of the armed @p link lands on the transmit's
+ * tick ahead of it while the wire is free by then, wake the first one.
+ */
+void
+Network::wakeOnCollision(int link)
+{
+    Link &l = links_[static_cast<std::size_t>(link)];
+    if (!l.armed || l.waking || l.freeAt != l.txWhen ||
+        l.returns.empty() || l.returns.back().when < l.txWhen)
+        return;
+    for (std::size_t i = 0; i < l.returns.size(); ++i) {
+        const Return &r = l.returns[i];
+        if (r.when < l.txWhen)
+            continue;
+        if (r.when == l.txWhen && r.seq < l.txSeq)
+            wake(link, r);
+        return;
+    }
 }
 
 /** Try to transmit one flit on @p link; re-arms itself as needed. */
@@ -399,44 +493,55 @@ Network::pump(int link)
         arm(link, l.freeAt);
         return;
     }
+    creditReturns(l, eq_.currentSeq());
     if (l.credits == 0) {
-        // Backpressured: woken again by the next credit return.
+        // Backpressured. Unarmed, nothing pumps this link again until
+        // a credit lands: the first pending return gets an event (with
+        // none pending, the next one issued does).
         ++creditStalls_;
+        if (!l.armed && !l.waking && !l.returns.empty())
+            wake(link, l.returns.front());
         return;
     }
     // Round-robin arbitration across the input ports.
-    std::size_t ports = l.q.size();
-    std::size_t p = 0;
-    for (std::size_t k = 0; k < ports; ++k) {
-        p = (static_cast<std::size_t>(l.rr) + k) % ports;
-        if (!l.q[p].empty())
-            break;
-    }
-    l.rr = static_cast<int>((p + 1) % ports);
-    Entry f = l.q[p].front();
-    l.q[p].pop_front();
+    const std::size_t ports = l.q.size();
+    std::size_t p = static_cast<std::size_t>(l.rr);
+    while (l.q[p].empty())
+        p = p + 1 == ports ? 0 : p + 1;
+    l.rr = p + 1 == ports ? 0 : static_cast<int>(p + 1);
+    Run &head = l.q[p].front();
+    const int msg = head.msg;
+    const int hop = head.hop;
+    if (--head.count == 0)
+        l.q[p].pop_front();
     --l.queued;
     // The flit leaves the upstream link's downstream buffer: its
     // credit travels back one link latency behind.
     if (l.upstream[p] >= 0)
         returnCredit(l.upstream[p]);
     --l.credits;
-    const Message &m = messages_[static_cast<std::size_t>(f.msg)];
-    Tick ser = transferTicks(m.chunkBytes,
-                             cfg_.linkBytesPerSec / l.rateFactor);
-    if (ser > kMaxTick - cfg_.linkLatency - now)
+    const Message &m = messages_[static_cast<std::size_t>(msg)];
+    if (m.chunkBytes != l.serChunk || l.rateFactor != l.serFactor) {
+        l.serChunk = m.chunkBytes;
+        l.serFactor = l.rateFactor;
+        l.ser = transferTicks(m.chunkBytes,
+                              cfg_.linkBytesPerSec / l.rateFactor);
+    }
+    const Tick ser = l.ser;
+    // The flit lands one latency after its wire time, and its credit
+    // returns one more latency later.
+    if (ser > kMaxTick - now - cfg_.linkLatency - cfg_.linkLatency)
         fatal("Network: a flit on link " + std::to_string(link) +
               " would land past the end of simulated time (~106 days); "
-              "the link bandwidth is too low for this run (raise "
-              "--link-gbps)");
+              "the link bandwidth is too low or the latency too high "
+              "for this run (raise --link-gbps or lower "
+              "--link-latency-us)");
     l.freeAt = now + ser;
     l.busyTicks += ser;
     ++l.flits;
     eq_.schedule(
         l.freeAt + cfg_.linkLatency,
-        [this, link, msg = f.msg, hop = f.hop]() {
-            arriveFlit(link, msg, hop);
-        },
+        [this, link, msg, hop]() { arriveFlit(link, msg, hop); },
         "net.rx");
     if (l.queued > 0)
         arm(link, l.freeAt);
@@ -465,7 +570,7 @@ Network::arriveFlit(int link, int msg, int hop)
     // Forward into the next hop's input queue. The flit keeps holding
     // this link's credit until it wins that arbitration.
     int next = path[static_cast<std::size_t>(hop) + 1];
-    pushFlit(next, link, msg, hop + 1);
+    pushFlits(next, link, msg, hop + 1, 1);
     pump(next);
 }
 

@@ -25,6 +25,30 @@
  * degraded link hurt every flow behind it, which is exactly what the
  * topology-aware dispatch ablation measures.
  *
+ * Events: a flit costs a transmit event (net.tx, when the wire is
+ * busy) and a landing event per hop (net.rx), about three on a
+ * two-hop star. Credit returns are lazy. A return is a pending entry
+ * in its link's FIFO, keyed by the (tick, seq) an event scheduled at
+ * that point would have had: the seq is reserved from the EventQueue
+ * there, so the run's order is unchanged. pump() credits every entry
+ * whose key is below the executing event's. A return only matters
+ * when it finds its link starved, and by the pump invariant
+ *
+ *   queued > 0 && !armed  =>  credits == 0  (starved)
+ *
+ * a link with flits queued and no transmit armed is starved. So a
+ * return becomes a real event (net.credit, at its reserved key) in
+ * two cases only: it is the first return after a stall left the link
+ * starved, or it lands on the armed transmit's own tick ahead of it
+ * while the wire is free by then (it, not the transmit, sends the
+ * next flit). Every other return would run a pump() that does
+ * nothing. A drained queue's clock still lands on the last return
+ * (EventQueue::reserve()).
+ *
+ * Input ports hold run-length (message, hop, count) entries, so a
+ * message enters its source port as one entry; serialization ticks
+ * are memoized per link on (flit size, stretch factor).
+ *
  * Topologies: star (every endpoint hangs off one central switch),
  * 2-D mesh / torus of combined endpoint+router cells with
  * dimension-order (XY) routing, and a two-level fat-tree (endpoint ->
@@ -42,8 +66,8 @@
 #ifndef SN40L_SIM_NETWORK_H
 #define SN40L_SIM_NETWORK_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -157,24 +181,91 @@ class Network
     std::string nodeLabel(int node) const;
 
   private:
-    struct Entry
+    /** FIFO on a growable power-of-two ring (no per-push allocation
+     *  once it has grown to its working set). */
+    template <typename T>
+    class Fifo
+    {
+      public:
+        bool empty() const { return size_ == 0; }
+        std::size_t size() const { return size_; }
+        T &front() { return buf_[head_]; }
+        T &back() { return buf_[(head_ + size_ - 1) & (buf_.size() - 1)]; }
+        /** @p i-th element from the front. */
+        const T &operator[](std::size_t i) const
+        {
+            return buf_[(head_ + i) & (buf_.size() - 1)];
+        }
+        void
+        push_back(const T &v)
+        {
+            if (size_ == buf_.size())
+                grow();
+            buf_[(head_ + size_) & (buf_.size() - 1)] = v;
+            ++size_;
+        }
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & (buf_.size() - 1);
+            --size_;
+        }
+
+      private:
+        void
+        grow()
+        {
+            std::vector<T> next(buf_.empty() ? 4 : 2 * buf_.size());
+            for (std::size_t i = 0; i < size_; ++i)
+                next[i] = (*this)[i];
+            buf_.swap(next);
+            head_ = 0;
+        }
+        std::vector<T> buf_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
+    /** @p count consecutive flits of one message at one hop. */
+    struct Run
     {
         int msg;
         int hop; ///< index into the message's route
+        int count;
+    };
+
+    /** A credit on its way back: the event key it would land at. */
+    struct Return
+    {
+        Tick when;
+        std::uint64_t seq;
     };
 
     struct Link
     {
         int from;
         int to;
+        int inSlot = 0; ///< index among the links into `to`
         double rateFactor = 1.0; ///< >= 1 stretches serialization
         Tick freeAt = 0;
         int credits;
-        bool armed = false; ///< a pump event is already scheduled
-        int rr = 0;         ///< round-robin cursor over input ports
-        int queued = 0;     ///< flits across all input ports
-        std::vector<int> upstream;        ///< port -> feeding link (-1 local)
-        std::vector<std::deque<Entry>> q; ///< per-port FIFO
+        bool armed = false;  ///< a net.tx event is scheduled ...
+        Tick txWhen = 0;     ///< ... at this key
+        std::uint64_t txSeq = 0;
+        bool waking = false; ///< a net.credit event is scheduled
+        int rr = 0;          ///< round-robin cursor over input ports
+        int queued = 0;      ///< flits across all input ports
+        /** Feeding link's inSlot (last: local injection) -> port,
+         *  -1 until that link first pushes. */
+        std::vector<int> portOf;
+        std::vector<int> upstream; ///< port -> feeding link (-1 local)
+        std::vector<Fifo<Run>> q;  ///< per-port FIFO
+        Fifo<Return> returns;      ///< not yet credited, in key order
+        /** Serialization ticks of the last flit and what they were
+         *  computed from. */
+        double serChunk = -1.0;
+        double serFactor = 0.0;
+        Tick ser = 0;
         // stats
         std::int64_t flits = 0;
         Tick busyTicks = 0;
@@ -193,12 +284,17 @@ class Network
     void buildStar();
     void buildGrid(bool wrap);
     void buildFatTree();
+    void buildPorts();
     std::vector<int> computeRoute(int src, int dst) const;
     std::vector<int> gridRoute(int src, int dst, bool wrap) const;
-    void pushFlit(int link, int upstream_link, int msg, int hop);
+    void pushFlits(int link, int upstream_link, int msg, int hop,
+                   int count);
     void pump(int link);
     void arm(int link, Tick when);
     void returnCredit(int link);
+    void creditReturns(Link &l, std::uint64_t below_seq);
+    void wake(int link, Return r);
+    void wakeOnCollision(int link);
     void arriveFlit(int link, int msg, int hop);
     int allocMessage();
     void freeMessage(int msg);

@@ -27,11 +27,6 @@ constexpr Tick kTicksPerSec = 1000LL * kTicksPerMs;
 /** Sentinel for "never" / unbounded run limits. */
 constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
 
-constexpr Tick fromPs(double ps) { return static_cast<Tick>(ps); }
-constexpr Tick fromNs(double ns) { return static_cast<Tick>(ns * kTicksPerNs); }
-constexpr Tick fromUs(double us) { return static_cast<Tick>(us * kTicksPerUs); }
-constexpr Tick fromMs(double ms) { return static_cast<Tick>(ms * kTicksPerMs); }
-
 /** Simulated seconds the whole tick range spans (~106 days). */
 constexpr double kMaxSeconds =
     static_cast<double>(kMaxTick) / static_cast<double>(kTicksPerSec);
@@ -44,19 +39,25 @@ constexpr double kMaxSeconds =
 constexpr double kHorizonSeconds = kMaxSeconds / 2.0;
 
 /**
- * Seconds to ticks, saturating: a product outside the tick range
- * clamps to +-kMaxTick (NaN to kMaxTick) instead of overflowing the
- * conversion, which is undefined behaviour.
+ * A tick count held in a double, truncated to a Tick and saturating: a
+ * value outside the tick range clamps to +-kMaxTick (NaN to kMaxTick)
+ * instead of overflowing the conversion, which is undefined behaviour.
  */
 constexpr Tick
-fromSeconds(double s)
+saturatingTicks(double t)
 {
-    double t = s * kTicksPerSec;
     // 0x1p63 is exactly 2^63, one past kMaxTick.
     if (t < 0x1p63 && t > -0x1p63)
         return static_cast<Tick>(t);
     return t < 0.0 ? -kMaxTick : kMaxTick;
 }
+
+/** Unit to ticks; all saturate like saturatingTicks(). */
+constexpr Tick fromPs(double ps) { return saturatingTicks(ps); }
+constexpr Tick fromNs(double ns) { return saturatingTicks(ns * kTicksPerNs); }
+constexpr Tick fromUs(double us) { return saturatingTicks(us * kTicksPerUs); }
+constexpr Tick fromMs(double ms) { return saturatingTicks(ms * kTicksPerMs); }
+constexpr Tick fromSeconds(double s) { return saturatingTicks(s * kTicksPerSec); }
 
 constexpr double toNs(Tick t) { return static_cast<double>(t) / kTicksPerNs; }
 constexpr double toUs(Tick t) { return static_cast<double>(t) / kTicksPerUs; }

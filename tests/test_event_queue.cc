@@ -284,3 +284,56 @@ TEST(EventQueue, DelayPastTheTickRangeIsAFatalError)
     });
     eq.run();
 }
+
+TEST(EventQueue, ReservedKeyKeepsItsPlaceInTheSameTickOrder)
+{
+    // A key reserved before another same-tick event is scheduled runs
+    // ahead of it, even when its event is scheduled afterwards.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&]() {
+        std::uint64_t seq = eq.reserve(20);
+        eq.schedule(20, [&]() { order.push_back(2); });
+        eq.scheduleReserved(20, seq, [&order, &eq, seq]() {
+            order.push_back(1);
+            EXPECT_EQ(eq.currentSeq(), seq);
+        });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, ScheduleReservedPanicsUnlessTheKeyIsAhead)
+{
+    EventQueue eq;
+    std::uint64_t early = eq.reserve(5);
+    eq.schedule(10, [&]() {
+        // In the past, the executing key itself, and a seq never
+        // reserved all panic.
+        EXPECT_THROW(eq.scheduleReserved(5, early, [] {}), sim::SimPanic);
+        EXPECT_THROW(eq.scheduleReserved(10, eq.currentSeq(), [] {}),
+                     sim::SimPanic);
+        EXPECT_THROW(eq.scheduleReserved(20, eq.currentSeq() + 100, [] {}),
+                     sim::SimPanic);
+        EXPECT_THROW(eq.reserve(9), sim::SimPanic);
+    });
+    eq.run();
+}
+
+TEST(EventQueue, DrainPassesReservedKeysLikeEmptyEvents)
+{
+    EventQueue eq;
+    std::uint64_t late = 0;
+    eq.schedule(10, [&]() { late = eq.reserve(50); });
+    // A limit below the reserved tick leaves the clock alone.
+    eq.run(40);
+    EXPECT_EQ(eq.now(), 10);
+    // Draining lands on the latest reserved tick, past its key.
+    eq.run();
+    EXPECT_EQ(eq.now(), 50);
+    EXPECT_GT(eq.currentSeq(), late);
+    EXPECT_EQ(eq.executedCount(), 1u);
+    // advanceTo() puts the current key below every seq at the tick.
+    eq.advanceTo(60);
+    EXPECT_EQ(eq.currentSeq(), 0u);
+}

@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "arch/rdn.h"
@@ -22,6 +26,7 @@
 #include "sim/event_queue.h"
 #include "sim/log.h"
 #include "sim/network.h"
+#include "sim/rng.h"
 #include "sim/ticks.h"
 
 using namespace sn40l;
@@ -136,6 +141,22 @@ TEST(NetworkNames, ConfigValidationRejectsNonsense)
     expect_fatal([](sim::NetworkConfig &c) { c.flitBytes = 0.0; });
     expect_fatal([](sim::NetworkConfig &c) { c.maxFlitsPerMessage = 0; });
     expect_fatal([](sim::NetworkConfig &c) { c.fatTreeSpines = 0; });
+}
+
+TEST(NetworkNames, NanRequestOverheadIsRejected)
+{
+    coe::FabricConfig on;
+    on.enabled = true;
+    on.requestOverheadBytes = std::nan("");
+    EXPECT_THROW(coe::validateFabricConfig(on), sim::FatalError);
+}
+
+TEST(NetworkNames, NanRequestPayloadIsRejected)
+{
+    coe::FabricConfig on;
+    on.enabled = true;
+    on.requestPayloadBytes = std::nan("");
+    EXPECT_THROW(coe::validateFabricConfig(on), sim::FatalError);
 }
 
 TEST(NetworkNames, FabricValidationOnlyBitesWhenEnabled)
@@ -284,9 +305,61 @@ TEST(NetworkCredit, ExhaustionStallsButDeliversEverything)
 
     EXPECT_EQ(shallow_flits, 40); // nothing dropped
     EXPECT_EQ(deep_flits, 40);
-    EXPECT_GT(shallow_stalls, 0);
+    EXPECT_EQ(shallow_stalls, 57);
     EXPECT_EQ(deep_stalls, 0);
     EXPECT_GT(shallow_done, deep_done);
+}
+
+TEST(NetworkCredit, UncontendedFlitsCostThreeEventsEach)
+{
+    // Over an uncontended two-hop star a flit costs a transmit and a
+    // landing per hop, and the second hop transmits straight from its
+    // landing: about three events per flit. Credit returns cost none,
+    // since none finds its link starved or racing a transmit.
+    const int flits = 40;
+    sim::EventQueue eq;
+    sim::NetworkConfig cfg;
+    cfg.endpoints = 2;
+    cfg.flitBytes = 64.0;
+    sim::Network net(eq, cfg);
+    net.send(0, 1, 64.0 * flits, nullptr);
+    eq.run();
+    EXPECT_EQ(net.flitsDelivered(), flits);
+    EXPECT_EQ(net.creditStalls(), 0);
+    EXPECT_LE(eq.executedCount(), 3u * flits + 4u);
+}
+
+TEST(NetworkDelivery, NanOrInfiniteMessageSizeIsFatal)
+{
+    sim::EventQueue eq;
+    sim::NetworkConfig cfg;
+    cfg.endpoints = 2;
+    sim::Network net(eq, cfg);
+    EXPECT_THROW(net.send(0, 1, std::nan(""), nullptr), sim::FatalError);
+    EXPECT_THROW(
+        net.send(0, 1, std::numeric_limits<double>::infinity(), nullptr),
+        sim::FatalError);
+    EXPECT_THROW(net.send(0, 1, -1.0, nullptr), sim::FatalError);
+    EXPECT_EQ(net.messagesSent(), 0);
+    // A huge finite size caps at maxFlitsPerMessage without an
+    // overflowing flit-count cast; its flits then outlast the tick
+    // range, which is fatal too.
+    EXPECT_THROW(net.send(0, 1, 1e300, nullptr), sim::FatalError);
+}
+
+TEST(NetworkDelivery, DrainedClockPassesTheLastCreditReturn)
+{
+    // The last credit return is never an event, yet a drained queue's
+    // clock lands on it, as it did when every return was an event.
+    sim::EventQueue eq;
+    sim::NetworkConfig cfg;
+    cfg.endpoints = 2;
+    cfg.flitBytes = 64.0;
+    sim::Network net(eq, cfg);
+    sim::Tick done_at = 0;
+    net.send(0, 1, 64.0, [&]() { done_at = eq.now(); });
+    eq.run();
+    EXPECT_EQ(eq.now(), done_at + cfg.linkLatency);
 }
 
 TEST(NetworkCredit, DegradedLinkAdvertisesItsStretchWhenIdle)
@@ -305,6 +378,8 @@ TEST(NetworkCredit, DegradedLinkAdvertisesItsStretchWhenIdle)
     net.setEndpointLinkFactor(1, 1.0); // heal
     EXPECT_DOUBLE_EQ(net.pathCongestion(0, 1), 0.0);
     EXPECT_THROW(net.setEndpointLinkFactor(1, 0.5), sim::FatalError);
+    EXPECT_THROW(net.setEndpointLinkFactor(1, std::nan("")),
+                 sim::FatalError);
     EXPECT_THROW(net.setEndpointLinkFactor(9, 2.0), sim::FatalError);
 }
 
@@ -333,6 +408,240 @@ TEST(NetworkArbitration, SameTickSendersInterleaveAtASharedSwitch)
     eq.run();
     EXPECT_EQ(net.flitsDelivered(), 20);
     EXPECT_GE(flits_at_first_completion, 18);
+}
+
+// ------------------------------------------------------------ goldens
+//
+// Bit-exact pins of the interconnect's observable behaviour, captured
+// from the event-per-credit-return implementation. Any change to how
+// credits, arbitration or serialization are scheduled must leave every
+// value here unchanged.
+
+namespace {
+
+/** FNV-1a over 64-bit words. */
+struct Fnv
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    void
+    add(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
+};
+
+struct GoldenScenario
+{
+    sim::Topology topology;
+    int endpoints;
+    int bufferFlits;
+    int messages;
+    std::uint64_t seed;
+    /** Link latency as a multiple of one 64-byte flit's wire time
+     *  (0 keeps the 2 us default): credit returns then land on the
+     *  same ticks as transmissions. */
+    int latencyInFlits = 0;
+    /** Only whole 64-byte flits, so every flit has the same wire
+     *  time. */
+    bool wholeFlits = false;
+    /** One send in four carries 0 bytes: one flit with no wire time,
+     *  so a link can send several flits within one tick. */
+    bool zeroBytes = false;
+    /** Upper bound of the gap between send ticks. */
+    std::uint64_t maxGapTicks = 40'000;
+};
+
+struct GoldenResult
+{
+    std::uint64_t deliveryHash = 0; ///< (message, tick) in callback order
+    std::int64_t deliveries = 0;
+    std::int64_t creditStalls = 0;
+    std::int64_t flitsDelivered = 0;
+    std::uint64_t linkHash = 0; ///< every link's busy ticks and flits
+    sim::Tick drainedNow = 0;
+};
+
+/**
+ * A seeded message storm: bursts of same-tick sends between random
+ * endpoint pairs (some local), 1-12 flits each, with one endpoint's
+ * links degraded x3 for the middle of the run and healed after.
+ */
+GoldenResult
+runGolden(const GoldenScenario &s)
+{
+    sim::EventQueue eq;
+    sim::NetworkConfig cfg;
+    cfg.topology = s.topology;
+    cfg.endpoints = s.endpoints;
+    cfg.bufferFlits = s.bufferFlits;
+    cfg.flitBytes = 64.0;
+    cfg.linkBytesPerSec = 32e9;
+    cfg.fatTreeRadix = 2;
+    if (s.latencyInFlits > 0)
+        cfg.linkLatency = s.latencyInFlits *
+            sim::transferTicks(cfg.flitBytes, cfg.linkBytesPerSec);
+    sim::Network net(eq, cfg);
+    sim::Rng rng(s.seed);
+    GoldenResult r;
+    Fnv deliveries;
+    sim::Tick t = 0;
+    for (int i = 0; i < s.messages; ++i) {
+        // One in three sends shares the previous send's tick.
+        if (rng.uniformInt(3) != 0)
+            t += static_cast<sim::Tick>(rng.uniformInt(s.maxGapTicks));
+        int src = static_cast<int>(
+            rng.uniformInt(static_cast<std::uint64_t>(s.endpoints)));
+        int dst = static_cast<int>(
+            rng.uniformInt(static_cast<std::uint64_t>(s.endpoints)));
+        double flits = static_cast<double>(1 + rng.uniformInt(12));
+        double bytes = s.wholeFlits
+            ? 64.0 * flits
+            : 64.0 * flits - static_cast<double>(rng.uniformInt(64));
+        if (s.zeroBytes && rng.uniformInt(4) == 0)
+            bytes = 0.0;
+        eq.schedule(t, [&net, &eq, &deliveries, &r, i, src, dst, bytes] {
+            net.send(src, dst, bytes, [&eq, &deliveries, &r, i] {
+                deliveries.add(static_cast<std::uint64_t>(i));
+                deliveries.add(static_cast<std::uint64_t>(eq.now()));
+                ++r.deliveries;
+            });
+        }, "golden.send");
+    }
+    const int sick = s.endpoints / 2;
+    eq.schedule(t / 3, [&net, sick] { net.setEndpointLinkFactor(sick, 3.0); },
+                "golden.degrade");
+    eq.schedule(2 * t / 3,
+                [&net, sick] { net.setEndpointLinkFactor(sick, 1.0); },
+                "golden.heal");
+    eq.run();
+    Fnv links;
+    for (int l = 0; l < net.linkCount(); ++l) {
+        links.add(static_cast<std::uint64_t>(net.linkBusyTicks(l)));
+        links.add(static_cast<std::uint64_t>(net.linkFlits(l)));
+    }
+    EXPECT_EQ(net.messagesInFlight(), 0);
+    r.deliveryHash = deliveries.h;
+    r.creditStalls = net.creditStalls();
+    r.flitsDelivered = net.flitsDelivered();
+    r.linkHash = links.h;
+    r.drainedNow = eq.now();
+    return r;
+}
+
+void
+expectGolden(const GoldenScenario &s, const GoldenResult &want)
+{
+    GoldenResult got = runGolden(s);
+    EXPECT_EQ(got.deliveryHash, want.deliveryHash);
+    EXPECT_EQ(got.deliveries, want.deliveries);
+    EXPECT_EQ(got.creditStalls, want.creditStalls);
+    EXPECT_EQ(got.flitsDelivered, want.flitsDelivered);
+    EXPECT_EQ(got.linkHash, want.linkHash);
+    EXPECT_EQ(got.drainedNow, want.drainedNow);
+}
+
+} // namespace
+
+TEST(NetworkGolden, StarShallowBuffers)
+{
+    expectGolden({sim::Topology::Star, 6, 1, 300, 7},
+                 {3583279450721248227ULL, 300, 4133, 1640,
+                  6895293942108315126ULL, 1978921337});
+    expectGolden({sim::Topology::Star, 6, 3, 300, 8},
+                 {11928708637210723434ULL, 300, 3194, 1550,
+                  5001579506742009541ULL, 606297809});
+}
+
+TEST(NetworkGolden, MeshAndTorus)
+{
+    expectGolden({sim::Topology::Mesh2D, 9, 2, 300, 21},
+                 {6736780861261088492ULL, 300, 4016, 1870,
+                  4515850510802335847ULL, 650447293});
+    expectGolden({sim::Topology::Torus2D, 12, 4, 300, 22},
+                 {4692701847044538642ULL, 300, 2876, 1859,
+                  4046222339033075789ULL, 195525098});
+}
+
+TEST(NetworkGolden, FatTree)
+{
+    expectGolden({sim::Topology::FatTree, 8, 2, 300, 31},
+                 {15358295436879504987ULL, 300, 6375, 1653,
+                  6390434756204301422ULL, 958502625});
+}
+
+TEST(NetworkGolden, LatencyAnExactMultipleOfTheFlitTime)
+{
+    // Credit returns land on the very ticks the transmitters free up:
+    // the same-tick order of returns and transmissions decides who
+    // wins each arbitration.
+    expectGolden({sim::Topology::Star, 5, 2, 300, 41, 2, true},
+                 {280086953705351722ULL, 300, 2518, 1618,
+                  12750968768123929919ULL, 4075488});
+    expectGolden({sim::Topology::Mesh2D, 6, 1, 300, 42, 1, true},
+                 {6188007994460967715ULL, 300, 2890, 1750,
+                  15721488013624345588ULL, 4044000});
+    expectGolden({sim::Topology::FatTree, 8, 3, 300, 43, 3, true},
+                 {13066512829300547634ULL, 300, 4177, 1761,
+                  14654192826835754962ULL, 3908306});
+}
+
+TEST(NetworkGolden, ZeroByteMessagesTakeNoWireTime)
+{
+    expectGolden({sim::Topology::Star, 5, 2, 300, 51, 1, true, true},
+                 {9640680281775986982ULL, 300, 1631, 1348,
+                  6699201845896719418ULL, 3738762});
+    // Dense sends: a link sends several zero-time flits in one tick,
+    // each ahead of its armed transmit.
+    expectGolden({sim::Topology::Star, 2, 4, 300, 60, 1, true, true, 200},
+                 {1431681981998425071ULL, 300, 88, 863,
+                  9674016710985692679ULL, 904772});
+    expectGolden({sim::Topology::Star, 4, 4, 300, 56, 1, true, true, 2000},
+                 {13734766163671404789ULL, 300, 429, 1055,
+                  5203491561809668974ULL, 803201});
+    expectGolden({sim::Topology::Torus2D, 9, 1, 300, 52, 2, true, true},
+                 {18044459315298825293ULL, 300, 1740, 1347,
+                  4083689406729383937ULL, 3778429});
+}
+
+TEST(NetworkGolden, ClusterFabricShape)
+{
+    // The benchmark's cluster_fabric shape at 1k requests: 8 nodes on
+    // a 1 Gb/s star, round-robin, node 2's links x40 for the middle
+    // half of the run.
+    const int requests = 1000;
+    const double rate = 64.0;
+    ClusterConfig cfg;
+    cfg.nodes = 8;
+    cfg.placement = PlacementPolicy::FullReplication;
+    cfg.dispatch = DispatchPolicy::RoundRobin;
+    cfg.node.mode = ServingMode::EventDriven;
+    cfg.node.numExperts = 150;
+    cfg.node.batch = 8;
+    cfg.node.streamRequests = requests;
+    cfg.node.arrivalRatePerSec = rate;
+    cfg.node.routing = RoutingDistribution::Zipf;
+    cfg.node.zipfS = 1.0;
+    cfg.node.scheduler = SchedulerPolicy::ExpertAffinity;
+    cfg.node.seed = 1;
+    cfg.fabric.enabled = true;
+    cfg.fabric.topology = sim::Topology::Star;
+    cfg.fabric.linkGbps = 1.0;
+    const double duration = requests / rate;
+    cfg.faults = std::make_shared<std::vector<FaultEvent>>(
+        std::vector<FaultEvent>{{0.25 * duration, FaultKind::LinkDegrade,
+                                 2, 40.0, 0.50 * duration}});
+    ClusterResult r = ClusterSimulator(cfg).run();
+    EXPECT_EQ(r.stream.completed, requests);
+    EXPECT_EQ(r.stream.p50LatencySeconds, 2.3411385408904999);
+    EXPECT_EQ(r.stream.p95LatencySeconds, 4.8182651808147501);
+    EXPECT_EQ(r.stream.p99LatencySeconds, 4.9509718388064297);
+    EXPECT_EQ(r.stream.makespanSeconds, 16.270239824672998);
+    EXPECT_EQ(r.nodeSecondsLive, 130.17311522540001);
+    EXPECT_EQ(r.networkFlits, 245000);
+    EXPECT_EQ(r.networkCreditStalls, 6255);
 }
 
 // ------------------------------------------------ cluster integration

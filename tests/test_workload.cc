@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "coe/serving.h"
 #include "coe/workload.h"
 #include "sim/log.h"
+#include "sim/ticks.h"
+#include "tools/cli_config.h"
 
 using namespace sn40l;
 using namespace sn40l::coe;
@@ -608,4 +612,90 @@ TEST(TimeRange, VanishingLinkBandwidthNamesTheFlag)
     // path stops the run when its times leave the tick range.
     cfg.fabric.linkGbps = 1e-8;
     expectFatalNaming([&] { ClusterSimulator(cfg).run(); }, "--link-gbps");
+}
+
+TEST(TimeRange, UnitConversionsSaturate)
+{
+    // Every unit conversion clamps like fromSeconds: out-of-range and
+    // NaN inputs never reach the undefined float-to-integer cast.
+    EXPECT_EQ(sim::fromUs(2.0), 2 * sim::kTicksPerUs);
+    EXPECT_EQ(sim::fromPs(1e300), sim::kMaxTick);
+    EXPECT_EQ(sim::fromNs(1e300), sim::kMaxTick);
+    EXPECT_EQ(sim::fromUs(1e300), sim::kMaxTick);
+    EXPECT_EQ(sim::fromMs(1e300), sim::kMaxTick);
+    EXPECT_EQ(sim::fromUs(-1e300), -sim::kMaxTick);
+    EXPECT_EQ(sim::fromUs(std::nan("")), sim::kMaxTick);
+    EXPECT_EQ(sim::fromMs(std::nan("")), sim::kMaxTick);
+}
+
+namespace {
+
+ClusterConfig
+fabricCluster(double link_latency_us)
+{
+    ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.node.mode = ServingMode::EventDriven;
+    cfg.node.numExperts = 150;
+    cfg.node.streamRequests = 64;
+    cfg.node.arrivalRatePerSec = 16.0;
+    cfg.fabric.enabled = true;
+    cfg.fabric.topology = sim::Topology::Star;
+    cfg.fabric.linkLatencyUs = link_latency_us;
+    return cfg;
+}
+
+/** Parse @p argv with the interconnect flags; @return the error. */
+std::string
+fabricFlagError(const std::vector<std::string> &argv)
+{
+    tools::FlagParser p("cluster", [](std::ostream &) {});
+    coe::FabricConfig cfg;
+    tools::FabricFlagState st;
+    tools::addFabricFlags(p, cfg, st);
+    std::ostringstream help;
+    try {
+        p.parse(argv, help);
+    } catch (const tools::FlagUsageError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(TimeRange, HugeLinkLatencyNamesTheFlag)
+{
+    // 1e300 us used to overflow the us -> ticks cast and then fail as
+    // a "negative link latency".
+    expectFatalNaming([] { ClusterSimulator(fabricCluster(1e300)).run(); },
+                      "--link-latency-us");
+    expectFatalNaming(
+        [] {
+            ClusterSimulator(
+                fabricCluster(std::numeric_limits<double>::infinity()))
+                .run();
+        },
+        "--link-latency-us");
+    EXPECT_NO_THROW(ClusterSimulator(fabricCluster(5.0)).run());
+}
+
+TEST(TimeRange, NanLinkLatencyNamesTheFlag)
+{
+    expectFatalNaming(
+        [] { ClusterSimulator(fabricCluster(std::nan(""))).run(); },
+        "--link-latency-us");
+}
+
+TEST(TimeRange, LinkLatencyFlagRejectsHugeAndNan)
+{
+    for (const char *v : {"1e300", "nan", "inf", "-1"}) {
+        std::string err = fabricFlagError(
+            {"--topology", "star", "--link-latency-us", v});
+        EXPECT_NE(err.find("--link-latency-us"), std::string::npos)
+            << v << ": '" << err << "'";
+    }
+    EXPECT_EQ(fabricFlagError({"--topology", "star", "--link-latency-us",
+                               "3.5"}),
+              "");
 }

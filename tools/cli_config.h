@@ -26,6 +26,8 @@
 #include "coe/controller.h"
 #include "coe/serving.h"
 #include "coe/workload.h"
+#include "sim/ticks.h"
+#include "util/units.h"
 
 #include "flag_parser.h"
 
@@ -594,14 +596,19 @@ addFabricFlags(FlagParser &p, coe::FabricConfig &cfg,
     });
     p.value("--link-gbps", [&p, &cfg, &st](const std::string &v) {
         cfg.linkGbps = std::stod(v);
-        if (cfg.linkGbps <= 0.0)
+        if (!(cfg.linkGbps > 0.0))
             p.fail("--link-gbps must be positive");
         st.setLinkGbps = true;
     });
     p.value("--link-latency-us", [&p, &cfg, &st](const std::string &v) {
         cfg.linkLatencyUs = std::stod(v);
-        if (cfg.linkLatencyUs < 0.0)
-            p.fail("--link-latency-us must be non-negative");
+        if (!(cfg.linkLatencyUs >= 0.0))
+            p.fail("--link-latency-us must be a non-negative number");
+        if (!(cfg.linkLatencyUs * 1e-6 < sim::kHorizonSeconds))
+            p.fail("--link-latency-us must be shorter than simulated "
+                   "time can span (" +
+                   util::formatGeneral(sim::kHorizonSeconds * 1e6) +
+                   " us)");
         st.setLinkLatency = true;
     });
     p.value("--link-buffer-flits", [&p, &cfg, &st](const std::string &v) {
