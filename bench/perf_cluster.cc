@@ -52,9 +52,9 @@
 #include "util/json.h"
 
 using namespace sn40l;
+using bench::gate;
 using bench::gitCommitHash;
 using bench::isoTimestampUtc;
-using bench::jsonNumber;
 using bench::peakRssBytes;
 using bench::wallSeconds;
 
@@ -133,24 +133,6 @@ double
 requestsPerSec(const PassResult &pr, int requests)
 {
     return pr.wall > 0.0 ? requests / pr.wall : 0.0;
-}
-
-/** Fail (return false) when @p value is below 80% of @p key's floor. */
-bool
-gate(const std::string &floor_path, const char *key, double value,
-     const char *unit)
-{
-    double floor = jsonNumber("perf_cluster", floor_path, key);
-    double limit = 0.8 * floor; // fail on >20% regression vs floor
-    if (value < limit) {
-        std::cerr << "perf_cluster: REGRESSION: " << key << " " << value
-                  << " " << unit << " < gate " << limit << " (floor "
-                  << floor << " from " << floor_path << ")\n";
-        return false;
-    }
-    std::cout << "floor check passed: " << key << " " << value << " "
-              << unit << " >= gate " << limit << "\n";
-    return true;
 }
 
 } // namespace
@@ -332,13 +314,13 @@ main(int argc, char **argv)
     std::cout << "wrote " << json_path << "\n";
 
     if (!floor_path.empty()) {
-        bool ok = gate(floor_path, "events_per_sec", serial_eps,
-                       "events/s");
-        ok = gate(floor_path, "fabric_req_per_sec", fabric_rps,
-                  "requests/s") && ok;
+        bool ok = gate("perf_cluster", floor_path, "events_per_sec",
+                       serial_eps, "events/s");
+        ok = gate("perf_cluster", floor_path, "fabric_req_per_sec",
+                  fabric_rps, "requests/s") && ok;
         if (threads > 1)
-            ok = gate(floor_path, "parallel_req_per_sec", parallel_rps,
-                      "requests/s") && ok;
+            ok = gate("perf_cluster", floor_path, "parallel_req_per_sec",
+                      parallel_rps, "requests/s") && ok;
         if (!ok)
             return 1;
     }

@@ -2,7 +2,7 @@
  * @file
  * Helpers shared by the perf harnesses (perf_serving, perf_cluster):
  * wall-clock timing, peak-RSS readout, and the minimal JSON number
- * extraction the CI floor gates use. One copy, so portability fixes
+ * extraction and floor check the CI gates use. One copy, so portability fixes
  * (e.g. ru_maxrss units) and parser hardening apply to every gate.
  */
 
@@ -95,6 +95,27 @@ jsonNumber(const char *prog, const std::string &path,
     }
     pos = text.find(':', pos);
     return std::stod(text.substr(pos + 1));
+}
+
+/**
+ * The CI floor check: @return false (after reporting the regression)
+ * when @p value is below 80% of @p key's floor in @p floor_path.
+ */
+inline bool
+gate(const char *prog, const std::string &floor_path, const char *key,
+     double value, const char *unit)
+{
+    double floor = jsonNumber(prog, floor_path, key);
+    double limit = 0.8 * floor; // fail on >20% regression vs floor
+    if (value < limit) {
+        std::cerr << prog << ": REGRESSION: " << key << " " << value << " "
+                  << unit << " < gate " << limit << " (floor " << floor
+                  << " from " << floor_path << ")\n";
+        return false;
+    }
+    std::cout << "floor check passed: " << key << " " << value << " "
+              << unit << " >= gate " << limit << "\n";
+    return true;
 }
 
 } // namespace sn40l::bench

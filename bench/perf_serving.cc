@@ -4,7 +4,7 @@
  * how fast the simulator itself runs, so engine regressions are caught
  * the way model regressions are.
  *
- * Two measurements:
+ * Three measurements:
  *
  *  - core: a raw EventQueue schedule/fire/cancel loop (no model code),
  *    isolating the slab-pooled event core.
@@ -13,14 +13,22 @@
  *    Poisson arrivals, live DMA memory system), reporting simulator
  *    events/sec, requests/sec, and peak RSS.
  *
+ *  - zoo: the benchmark's zoo_churn shape (4000 rank-16 LoRA adapters
+ *    on a pinned trunk, churn every 2 s, 16 GB region) at half the
+ *    serving pass's requests: the path whose per-request cost must
+ *    not grow with the zoo (Zipf routing over 4000 experts, ~81%
+ *    misses through evictions and tiny DMA loads).
+ *
  * Emits BENCH_serving.json. With --floor FILE, exits non-zero if
- * serving events/sec falls below 80% of the checked-in floor — the CI
- * regression gate (the floor is set far enough below a healthy run to
- * absorb shared-runner noise; see bench/perf_serving_floor.json).
+ * serving events/sec or zoo requests/sec falls below 80% of its
+ * checked-in floor — the CI regression gate (the floors are set far
+ * enough below a healthy run to absorb shared-runner noise; see
+ * bench/perf_serving_floor.json).
  *
  *   perf_serving [--smoke] [--requests N] [--json FILE] [--floor FILE]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -33,7 +41,7 @@
 #include "sim/event_queue.h"
 
 using namespace sn40l;
-using bench::jsonNumber;
+using bench::gate;
 using bench::peakRssBytes;
 using bench::wallSeconds;
 
@@ -132,6 +140,30 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // ---- zoo pass -----------------------------------------------
+    const int zoo_requests = std::max(1, requests / 2);
+    coe::ServingConfig zoo_cfg = cfg;
+    zoo_cfg.streamRequests = zoo_requests;
+    zoo_cfg.numExperts = 4000;
+    zoo_cfg.zoo.enabled = true;
+    zoo_cfg.zoo.rank = 16;
+    zoo_cfg.zoo.churnEverySeconds = 2.0;
+    zoo_cfg.expertRegionBytes = 16'000'000'000;
+    coe::ServingSimulator zoo_sim(zoo_cfg);
+    auto zoo_start = std::chrono::steady_clock::now();
+    coe::ServingResult zoo = zoo_sim.run();
+    double zoo_wall = wallSeconds(zoo_start);
+    if (zoo.oom || zoo.stream.completed != zoo_requests) {
+        std::cerr << "perf_serving: zoo run did not complete\n";
+        return 1;
+    }
+    double zoo_rps = zoo_wall > 0.0 ? zoo_requests / zoo_wall : 0.0;
+    std::cout << "zoo: 4000 rank-16 adapters, " << zoo_requests
+              << " requests, " << zoo.stream.eventsExecuted
+              << " events in " << zoo_wall << " s\n"
+              << "  " << static_cast<std::uint64_t>(zoo_rps)
+              << " requests/s\n";
+
     double events_per_sec = wall > 0.0
         ? static_cast<double>(result.stream.eventsExecuted) / wall
         : 0.0;
@@ -161,22 +193,20 @@ main(int argc, char **argv)
         << "  \"events_per_sec\": " << events_per_sec << ",\n"
         << "  \"requests_per_sec\": " << requests_per_sec << ",\n"
         << "  \"core_events_per_sec\": " << core_eps << ",\n"
+        << "  \"zoo_requests\": " << zoo_requests << ",\n"
+        << "  \"zoo_wall_seconds\": " << zoo_wall << ",\n"
+        << "  \"zoo_req_per_sec\": " << zoo_rps << ",\n"
         << "  \"peak_rss_bytes\": " << rss << "\n"
         << "}\n";
     std::cout << "wrote " << json_path << "\n";
 
     if (!floor_path.empty()) {
-        double floor =
-            jsonNumber("perf_serving", floor_path, "events_per_sec");
-        double gate = 0.8 * floor; // fail on >20% regression vs floor
-        if (events_per_sec < gate) {
-            std::cerr << "perf_serving: REGRESSION: " << events_per_sec
-                      << " events/s < gate " << gate << " (floor " << floor
-                      << " from " << floor_path << ")\n";
+        bool ok = gate("perf_serving", floor_path, "events_per_sec",
+                       events_per_sec, "events/s");
+        ok = gate("perf_serving", floor_path, "zoo_req_per_sec", zoo_rps,
+                  "requests/s") && ok;
+        if (!ok)
             return 1;
-        }
-        std::cout << "floor check passed: " << events_per_sec
-                  << " events/s >= gate " << gate << "\n";
     }
     return 0;
 }

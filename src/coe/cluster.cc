@@ -4,6 +4,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/ticks.h"
+#include "util/units.h"
 
 namespace sn40l::coe {
 
@@ -226,12 +228,22 @@ class ShardWorkerPool
         cvStart_.notify_all();
     }
 
-    /** Block until every worker parks again. */
+    /**
+     * Block until every worker parks again, then rethrow the first
+     * exception a shard raised in the window (a FatalError from bad
+     * input must reach the caller, not terminate the process).
+     */
     void
     waitWindow()
     {
-        std::unique_lock<std::mutex> lock(m_);
-        cvDone_.wait(lock, [this]() { return remaining_ == 0; });
+        std::exception_ptr error;
+        {
+            std::unique_lock<std::mutex> lock(m_);
+            cvDone_.wait(lock, [this]() { return remaining_ == 0; });
+            error = std::exchange(error_, nullptr);
+        }
+        if (error)
+            std::rethrow_exception(error);
     }
 
   private:
@@ -251,9 +263,16 @@ class ShardWorkerPool
                 seen = generation_;
                 limit = limit_;
             }
-            runShards_(tid, limit);
+            std::exception_ptr error;
+            try {
+                runShards_(tid, limit);
+            } catch (...) {
+                error = std::current_exception();
+            }
             {
                 std::lock_guard<std::mutex> lock(m_);
+                if (error && !error_)
+                    error_ = error;
                 if (--remaining_ == 0)
                     cvDone_.notify_one();
             }
@@ -268,6 +287,7 @@ class ShardWorkerPool
     int remaining_ = 0;
     sim::Tick limit_ = 0;
     bool stop_ = false;
+    std::exception_ptr error_; ///< first shard exception this window
     std::vector<std::thread> workers_;
 };
 
@@ -1209,8 +1229,9 @@ ClusterSimulator::setNodeDmaFactor(int node, double factor)
         sim::panic("cluster: setNodeDmaFactor outside an active run");
     if (node < 0 || node >= cfg_.nodes)
         sim::fatal("cluster: setNodeDmaFactor out of range");
-    if (factor < 1.0)
-        sim::fatal("cluster: DMA stall factor must be at least 1");
+    if (!(factor >= 1.0) || !std::isfinite(factor))
+        sim::fatal("cluster: DMA stall factor must be a finite number "
+                   ">= 1");
     auto d = static_cast<std::size_t>(node);
     rs_->engines[d]->memorySystem().setDmaRateFactor(factor);
     rs_->dmaFactor[d] = factor;
@@ -1535,11 +1556,17 @@ ClusterSimulator::migrateExpert(int expert, int from, int to)
             from, to, bytes, [this, expert, from, to, bytes]() {
                 RunState &rsc = *rs_;
                 auto tc = static_cast<std::size_t>(to);
-                sim::Tick ddr = static_cast<sim::Tick>(
+                sim::Tick ddr = sim::saturatingTicks(
                     static_cast<double>(
                         rsc.engines[tc]->memorySystem().estimateLoad(
                             bytes)) *
                     rsc.dmaFactor[tc]);
+                if (ddr >= sim::kMaxTick - rsc.eq.now())
+                    sim::fatal("cluster: dma-stall factor " +
+                               util::formatGeneral(rsc.dmaFactor[tc]) +
+                               " on node " + std::to_string(to) +
+                               " stretches a migration's DDR write past "
+                               "the end of simulated time (~106 days)");
                 scheduleControlAt(
                     rsc.eq.now() + ddr,
                     [this, expert, from, to, bytes]() {

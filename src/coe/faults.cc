@@ -1,5 +1,6 @@
 #include "coe/faults.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -49,39 +50,53 @@ faultKindFromName(const std::string &name)
 
 // ------------------------------------------------------ validation
 
+namespace {
+
+/**
+ * Why event @p e (fired after one at @p prev seconds) is malformed, or
+ * "" when it is sound. Every comparison is written so that NaN fails
+ * it. @p nodes <= 0 skips the upper node bound.
+ */
+std::string
+faultEventError(const FaultEvent &e, double prev, int nodes)
+{
+    if (!(e.atSeconds >= 0.0) || !std::isfinite(e.atSeconds))
+        return "fire time must be a finite number >= 0";
+    if (e.atSeconds < prev)
+        return "fire times must be non-decreasing";
+    if (e.node < 0 || (nodes > 0 && e.node >= nodes))
+        return "node " + std::to_string(e.node) + " outside the cluster";
+    if (!(e.durationSeconds >= 0.0) || !std::isfinite(e.durationSeconds))
+        return "duration must be a finite number >= 0";
+    switch (e.kind) {
+    case FaultKind::NodeCrash:
+        break;
+    case FaultKind::DmaStall:
+    case FaultKind::Straggler:
+    case FaultKind::LinkDegrade:
+        if (!(e.factor >= 1.0) || !std::isfinite(e.factor))
+            return "stretch factor must be a finite number >= 1";
+        break;
+    case FaultKind::FlakyNode:
+        if (!(e.factor >= 0.0 && e.factor <= 1.0))
+            return "failure probability outside [0, 1]";
+        break;
+    }
+    return "";
+}
+
+} // namespace
+
 void
 validateFaultSchedule(const std::vector<FaultEvent> &schedule, int nodes)
 {
     double prev = 0.0;
     for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const FaultEvent &e = schedule[i];
-        std::string tag =
-            "fault schedule event " + std::to_string(i) + ": ";
-        if (e.atSeconds < 0.0)
-            sim::fatal(tag + "negative fire time");
-        if (e.atSeconds < prev)
-            sim::fatal(tag + "fire times must be non-decreasing");
-        if (e.node < 0 || (nodes > 0 && e.node >= nodes))
-            sim::fatal(tag + "node " + std::to_string(e.node) +
-                       " outside the cluster");
-        if (e.durationSeconds < 0.0)
-            sim::fatal(tag + "negative duration");
-        switch (e.kind) {
-        case FaultKind::NodeCrash:
-            break;
-        case FaultKind::DmaStall:
-        case FaultKind::Straggler:
-        case FaultKind::LinkDegrade:
-            if (e.factor < 1.0)
-                sim::fatal(tag + "stretch factor must be >= 1");
-            break;
-        case FaultKind::FlakyNode:
-            if (e.factor < 0.0 || e.factor > 1.0)
-                sim::fatal(tag +
-                           "failure probability outside [0, 1]");
-            break;
-        }
-        prev = e.atSeconds;
+        std::string why = faultEventError(schedule[i], prev, nodes);
+        if (!why.empty())
+            sim::fatal("fault schedule event " + std::to_string(i) +
+                       ": " + why);
+        prev = schedule[i].atSeconds;
     }
 }
 
@@ -276,19 +291,9 @@ loadFaultSchedule(const std::string &path)
         e.durationSeconds = p.number("duration");
         p.finish();
 
-        if (e.atSeconds < 0.0 || e.atSeconds < prev)
-            p.die("fire times must be non-negative and "
-                  "non-decreasing");
-        if (e.node < 0 || e.durationSeconds < 0.0)
-            p.die("negative field value");
-        if ((e.kind == FaultKind::DmaStall ||
-             e.kind == FaultKind::Straggler ||
-             e.kind == FaultKind::LinkDegrade) &&
-            e.factor < 1.0)
-            p.die("stretch factor must be >= 1");
-        if (e.kind == FaultKind::FlakyNode &&
-            (e.factor < 0.0 || e.factor > 1.0))
-            p.die("failure probability outside [0, 1]");
+        std::string why = faultEventError(e, prev, 0);
+        if (!why.empty())
+            p.die(why);
         prev = e.atSeconds;
         schedule.push_back(e);
     }

@@ -33,6 +33,37 @@ const char *routingDistributionName(RoutingDistribution dist);
  */
 RoutingDistribution routingDistributionFromName(const std::string &name);
 
+/**
+ * Inverse-CDF lookup by guide table (Chen & Asau's indexed search):
+ * O(1) expected compares per lookup, independent of the table length.
+ */
+class GuideTable
+{
+  public:
+    GuideTable() = default;
+
+    /** @param cdf non-empty and non-decreasing. */
+    explicit GuideTable(std::vector<double> cdf);
+
+    /**
+     * The first i with u <= cdf[i], or the last index when u exceeds
+     * every entry — exactly what a linear scan from 0 returns.
+     * @p u must lie in [0, 1).
+     */
+    int find(double u) const;
+
+    const std::vector<double> &cdf() const { return cdf_; }
+
+  private:
+    std::vector<double> cdf_;
+    /**
+     * guide_[j] is the first i with cdf_[i] >= j/K, clamped to the last
+     * index, for K = guide_.size(), the least power of two >= the CDF's
+     * length.
+     */
+    std::vector<int> guide_;
+};
+
 class Router
 {
   public:
@@ -42,6 +73,9 @@ class Router
     /** Route the next prompt; returns an expert id. */
     int route();
 
+    /** The Zipf sampler; empty for other routings. */
+    const GuideTable &zipfTable() const { return zipf_; }
+
     int numExperts() const { return numExperts_; }
     const models::LlmConfig &model() const { return model_; }
 
@@ -50,7 +84,7 @@ class Router
     RoutingDistribution dist_;
     sim::Rng rng_;
     int next_ = 0;                 ///< round-robin cursor
-    std::vector<double> cdf_;      ///< Zipf cumulative distribution
+    GuideTable zipf_;              ///< Zipf inverse CDF
     models::LlmConfig model_;      ///< the router is itself a 7B model
 };
 

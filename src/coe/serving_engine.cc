@@ -208,7 +208,7 @@ ServingEngine::touchDepth(std::size_t next_depth)
 int
 ServingEngine::pickExpert()
 {
-    const EngineRequest &front = queued_.begin()->second;
+    const EngineRequest &front = queued_.front();
     if (batchCount_ - 1 - front.enqueuedAtBatch >= cfg_.affinityMaxSkips) {
         starvationOverridesStat_ += 1.0;
         return front.expert;
@@ -278,10 +278,9 @@ ServingEngine::maybePrefetch()
     // arrival when the head of a deep queue is all resident experts;
     // overloaded prefetch sweeps should bound it.
     int inspected = 0;
-    for (const auto &kv : queued_) {
+    for (const EngineRequest &r : queued_) {
         if (cfg_.prefetchWindow > 0 && ++inspected > cfg_.prefetchWindow)
             break;
-        const EngineRequest &r = kv.second;
         if (prefetchOutstandingCount_ >= cfg_.prefetchDepth)
             break;
         if (runtime_.resident(r.expert))
@@ -374,9 +373,9 @@ ServingEngine::makeEngineRequest(const TrafficRequest &request,
 void
 ServingEngine::setServiceFactor(double factor)
 {
-    if (factor < 1.0)
-        sim::fatal("serving: service-time factor must be >= 1 (got " +
-                   std::to_string(factor) + ")");
+    if (!(factor >= 1.0) || !std::isfinite(factor))
+        sim::fatal("serving: service-time factor must be a finite "
+                   "number >= 1 (got " + std::to_string(factor) + ")");
     serviceFactor_ = factor;
 }
 
@@ -479,7 +478,7 @@ ServingEngine::injectAt(EngineRequest request)
         firstArrival_ = request.arrival;
     int id = request.id;
     int expert = request.expert;
-    if (queued_.emplace(id, std::move(request)).second && affinity_)
+    if (queued_.insert(id, std::move(request)) && affinity_)
         enqueueForExpert(expert, id);
     ++injectedCount_;
     if (!busy_)
@@ -492,11 +491,7 @@ std::vector<EngineRequest>
 ServingEngine::extractQueued()
 {
     touchDepth(0);
-    std::vector<EngineRequest> out;
-    out.reserve(queued_.size());
-    for (const auto &kv : queued_)
-        out.push_back(kv.second);
-    queued_.clear();
+    std::vector<EngineRequest> out = queued_.extract();
     for (int e : queuedExperts_) {
         ExpertSlot &s = slot(e);
         s.queue.clear();
@@ -533,22 +528,20 @@ ServingEngine::crashExtract()
 bool
 ServingEngine::cancelQueued(int id)
 {
-    auto it = queued_.find(id);
-    if (it == queued_.end())
+    if (!queued_.find(id))
         return false;
     touchDepth(queued_.size() - 1);
-    eraseRequest(id, it->second.expert);
+    int expert = queued_.take(id).expert;
+    if (affinity_)
+        unqueueForExpert(expert, id);
     --injectedCount_;
     cancelledQueuedStat_ += 1.0;
     return true;
 }
 
 void
-ServingEngine::eraseRequest(int id, int expert)
+ServingEngine::unqueueForExpert(int expert, int id)
 {
-    queued_.erase(id);
-    if (!affinity_)
-        return;
     ExpertSlot &s = slot(expert);
     s.queue.erase(id);
     if (s.queue.count() > 0)
@@ -562,12 +555,11 @@ ServingEngine::eraseRequest(int id, int expert)
 }
 
 void
-ServingEngine::takeRequest(std::map<int, EngineRequest>::iterator it)
+ServingEngine::takeRequest(EngineRequest request)
 {
-    int id = it->first;
-    int expert = it->second.expert;
-    curBatch_.push_back(std::move(it->second));
-    eraseRequest(id, expert);
+    if (affinity_)
+        unqueueForExpert(request.expert, request.id);
+    curBatch_.push_back(std::move(request));
 }
 
 void
@@ -680,7 +672,7 @@ ServingEngine::formBatch()
     batch.clear();
     if (!affinity_) {
         while (!queued_.empty() && batch.size() < cap)
-            takeRequest(queued_.begin());
+            takeRequest(queued_.takeFront());
     } else {
         // Take every queued request for the chosen expert, then
         // backfill spare slots with requests whose experts are already
@@ -692,7 +684,7 @@ ServingEngine::formBatch()
         // queue depth.
         const ExpertQueue &chosen = slot(pickExpert()).queue;
         while (batch.size() < cap && chosen.count() > 0)
-            takeRequest(queued_.find(chosen.oldest()));
+            takeRequest(queued_.take(chosen.oldest()));
         // Pass 2: oldest requests across resident experts. The
         // resident set cannot change mid-formation, so repeatedly
         // taking the minimum id over resident experts' ordered id sets
@@ -708,11 +700,11 @@ ServingEngine::formBatch()
             }
             if (best_id < 0)
                 break;
-            takeRequest(queued_.find(best_id));
+            takeRequest(queued_.take(best_id));
         }
         // Pass 3: whatever is oldest overall.
         while (!queued_.empty() && batch.size() < cap)
-            takeRequest(queued_.begin());
+            takeRequest(queued_.takeFront());
     }
     depthMark_ = eq_.now();
     occupancyTotal_ += static_cast<double>(batch.size());

@@ -31,9 +31,9 @@
 #define SN40L_COE_SERVING_ENGINE_H
 
 #include <functional>
-#include <map>
 #include <vector>
 
+#include "coe/admission_queue.h"
 #include "coe/coe_runtime.h"
 #include "coe/serving.h"
 #include "coe/workload.h"
@@ -331,9 +331,10 @@ class ServingEngine
     int pickExpert();
     void onLoadDone(int expert);
     void maybePrefetch();
-    void eraseRequest(int id, int expert);
-    /** Move the queued request at @p it into curBatch_. */
-    void takeRequest(std::map<int, EngineRequest>::iterator it);
+    /** Drop @p id from @p expert's per-expert queue (affinity only). */
+    void unqueueForExpert(int expert, int id);
+    /** Move a request just taken off queued_ into curBatch_. */
+    void takeRequest(EngineRequest request);
     void formBatch();
     void maybeLaunch();
     void runNextPrompt();
@@ -366,11 +367,7 @@ class ServingEngine
     std::vector<std::int64_t> ddrOffset_;
 
     // ---- admission queue ----------------------------------------
-    // Request ids are assigned in arrival order, so an id-ordered map
-    // IS the FIFO view: begin() is the oldest queued request, erase
-    // from any position is O(log queue), and iteration walks arrival
-    // order.
-    std::map<int, EngineRequest> queued_;
+    AdmissionQueue<EngineRequest> queued_;
     bool busy_ = false;
     bool affinity_ = false;
 

@@ -743,9 +743,9 @@ validateWorkloadConfig(const ServingConfig &cfg)
         if (t.rateShare <= 0.0)
             sim::fatal("TenantSpec " + t.name +
                        ": non-positive rate share");
-        if (t.zipfS <= 0.0)
-            sim::fatal("TenantSpec " + t.name + ": non-positive zipf "
-                                                "skew");
+        if (!(t.zipfS > 0.0) || !std::isfinite(t.zipfS))
+            sim::fatal("TenantSpec " + t.name +
+                       ": zipf skew must be a positive finite number");
         if (t.expertOffset < 0 || t.expertOffset >= cfg.numExperts)
             sim::fatal("TenantSpec " + t.name +
                        ": expert offset outside the expert pool");

@@ -1,10 +1,12 @@
 #include "mem/dma_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "mem/interleaved_memory.h"
 #include "sim/log.h"
+#include "util/units.h"
 
 namespace sn40l::mem {
 
@@ -18,9 +20,9 @@ DmaEngine::DmaEngine(sim::EventQueue &eq, std::string name)
 void
 DmaEngine::setRateFactor(double factor)
 {
-    if (factor < 1.0)
-        sim::fatal(name_ + ": DMA rate factor must be >= 1 (got " +
-                   std::to_string(factor) + ")");
+    if (!(factor >= 1.0) || !std::isfinite(factor))
+        sim::fatal(name_ + ": DMA rate factor must be a finite number "
+                           ">= 1 (got " + util::formatGeneral(factor) + ")");
     rateFactor_ = factor;
 }
 
@@ -41,8 +43,14 @@ DmaEngine::scheduleCompletion(sim::Tick done, Callback on_done)
     // even round-trip ticks through a multiply.
     if (rateFactor_ != 1.0) {
         sim::Tick now = eq_.now();
-        double span = static_cast<double>(done - now) * rateFactor_;
-        done = now + static_cast<sim::Tick>(span);
+        sim::Tick span = sim::saturatingTicks(
+            static_cast<double>(done - now) * rateFactor_);
+        if (span >= sim::kMaxTick - now)
+            sim::fatal(name_ + ": DMA rate factor " +
+                       util::formatGeneral(rateFactor_) +
+                       " stretches a copy past the end of simulated "
+                       "time (~106 days); lower the dma-stall factor");
+        done = now + span;
     }
     ++inFlight_;
     std::uint32_t slot;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <list>
 #include <map>
 #include <optional>
@@ -64,6 +65,89 @@ TEST(Router, ZipfSkewsTowardHotExperts)
         ++counts[r.route()];
     // Expert 0 should dominate the tail.
     EXPECT_GT(counts[0], 10 * std::max(counts[50], 1));
+}
+
+namespace {
+
+/** The reference Zipf draw: a linear scan of the CDF. */
+int
+scanCdf(const std::vector<double> &cdf, double u)
+{
+    for (std::size_t i = 0; i < cdf.size(); ++i)
+        if (u <= cdf[i])
+            return static_cast<int>(i);
+    return static_cast<int>(cdf.size()) - 1;
+}
+
+/** Every u in @p us that lies in [0, 1) finds what the scan finds. */
+void
+expectFindMatchesScan(const GuideTable &table, const std::vector<double> &us)
+{
+    for (double u : us) {
+        if (!(u >= 0.0 && u < 1.0))
+            continue;
+        ASSERT_EQ(table.find(u), scanCdf(table.cdf(), u))
+            << "n=" << table.cdf().size() << " u=" << u;
+    }
+}
+
+} // namespace
+
+TEST(Router, ZipfGuideTableMatchesLinearScan)
+{
+    for (int n : {1, 2, 3, 5, 150, 4000, 4097}) {
+        for (double s : {0.3, 1.0, 1.2, 4.0}) {
+            Router r(n, RoutingDistribution::Zipf, 99, s);
+            const std::vector<double> &cdf = r.zipfTable().cdf();
+            ASSERT_EQ(cdf.size(), static_cast<std::size_t>(n));
+            sim::Rng ref(99);
+            for (int d = 0; d < 100000; ++d) {
+                double u = ref.uniformDouble();
+                ASSERT_EQ(r.route(), scanCdf(cdf, u))
+                    << "n=" << n << " s=" << s << " draw " << d;
+            }
+            // Boundary draws: each CDF entry and its neighbours.
+            std::vector<double> us = {0.0, 1.0 - 0x1p-53};
+            for (double c : cdf)
+                for (double u : {c, std::nextafter(c, 0.0),
+                                 std::nextafter(c, 2.0)})
+                    us.push_back(u);
+            expectFindMatchesScan(r.zipfTable(), us);
+        }
+    }
+}
+
+TEST(Router, GuideTableIsExactAtBucketEdges)
+{
+    // Zipf CDFs almost never put an entry within an ulp of a bucket
+    // edge, where a rounded u*K or j/K would start the search past the
+    // answer. These CDFs do: entries exactly on the edges j/n, and
+    // entries just below fl(j/n) whose product with n rounds up to j.
+    for (int n : {1, 2, 4, 6, 10, 12, 150, 1024, 4000}) {
+        std::vector<double> uniform(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i)
+            uniform[static_cast<std::size_t>(i)] =
+                static_cast<double>(i + 1) / n;
+        std::vector<double> shifted = uniform;
+        for (int j = 1; j < n; ++j) {
+            double u = static_cast<double>(j) / n;
+            for (int step = 0; step < 4; ++step) {
+                u = std::nextafter(u, 0.0);
+                if (std::floor(u * n) >= j) {
+                    shifted[static_cast<std::size_t>(j - 1)] = u;
+                    break;
+                }
+            }
+        }
+        for (const std::vector<double> &cdf : {uniform, shifted}) {
+            std::vector<double> us = {0.0, 1.0 - 0x1p-53};
+            for (double c : cdf)
+                for (double u : {c, std::nextafter(c, 0.0),
+                                 std::nextafter(c, 2.0)})
+                    us.push_back(u);
+            expectFindMatchesScan(GuideTable(cdf), us);
+        }
+    }
 }
 
 TEST(Router, RoundRobinCycles)

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -164,6 +166,40 @@ TEST(FaultValidation, ScheduleRejectsMalformedEvents)
     early.atSeconds = 1.0;
     EXPECT_THROW(validateFaultSchedule({late, early}, 4),
                  sim::FatalError);
+}
+
+TEST(FaultValidation, NanOrInfiniteValuesAreRejected)
+{
+    // `factor < 1.0` and friends let NaN through; a NaN dma-stall
+    // factor then stretched a copy to a tick in the past (SimPanic).
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    auto one = [](FaultEvent e) { return std::vector<FaultEvent>{e}; };
+    FaultEvent ok;
+    ok.atSeconds = 1.0;
+    ok.kind = FaultKind::DmaStall;
+    ok.factor = 2.0;
+    ok.durationSeconds = 5.0;
+    for (double v : {nan, inf}) {
+        FaultEvent bad = ok;
+        bad.atSeconds = v;
+        EXPECT_THROW(validateFaultSchedule(one(bad), 4), sim::FatalError);
+        bad = ok;
+        bad.durationSeconds = v;
+        EXPECT_THROW(validateFaultSchedule(one(bad), 4), sim::FatalError);
+        for (FaultKind k : {FaultKind::DmaStall, FaultKind::Straggler,
+                            FaultKind::LinkDegrade, FaultKind::FlakyNode}) {
+            bad = ok;
+            bad.kind = k;
+            bad.factor = v;
+            EXPECT_THROW(validateFaultSchedule(one(bad), 4),
+                         sim::FatalError);
+        }
+    }
+    expectLoadDies("{\"sn40l_faults\":1,\"events\":1}\n"
+                   "{\"at\":1,\"kind\":\"dma-stall\",\"node\":0,"
+                   "\"factor\":nan,\"duration\":50}\n",
+                   "stretch factor");
 }
 
 TEST(FaultValidation, PolicyRejectsContradictoryKnobs)
@@ -424,6 +460,51 @@ TEST(FaultCluster, FaultedRunBitIdenticalAcrossThreads)
                   sharded.nodes[i].dispatched);
         EXPECT_EQ(serial.nodes[i].completed,
                   sharded.nodes[i].completed);
+    }
+}
+
+TEST(FaultCluster, HugeDmaStallFactorIsFatalAtEveryThreadCount)
+{
+    // A finite but huge factor passes validation; the stretched copy
+    // leaves the tick range. It used to wrap to a tick in the past
+    // (SimPanic), and a shard thread's error ended the process.
+    for (int threads : {1, 2}) {
+        ClusterConfig cfg = clusterConfig(2);
+        cfg.dispatch = DispatchPolicy::RoundRobin;
+        cfg.threads = threads;
+        cfg.faults = schedule({{1.0, FaultKind::DmaStall, 0, 1e300, 50.0}});
+        try {
+            ClusterSimulator(cfg).run();
+            ADD_FAILURE() << "expected a FatalError at -j " << threads;
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("dma-stall factor"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(FaultCluster, HugeDmaStallFactorOnAMigrationTargetIsFatal)
+{
+    // A migration over the fabric pays the target's DDR-write time,
+    // stretched by its dma-stall factor, before the placement flips.
+    ClusterConfig cfg = clusterConfig(2);
+    cfg.placement = PlacementPolicy::BalancedPartition;
+    cfg.node.arrivalRatePerSec = 1e-3; // no traffic before the flip
+    cfg.fabric.enabled = true;
+    ClusterSimulator sim(cfg);
+    ASSERT_TRUE(sim.begin());
+    int from = sim.placement().hostsOfExpert[1][0];
+    int to = 1 - from;
+    sim.setNodeDmaFactor(to, 1e300);
+    ASSERT_TRUE(sim.migrateExpert(1, from, to));
+    try {
+        sim.eventQueue().run();
+        ADD_FAILURE() << "expected a FatalError";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("migration's DDR write"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -3,13 +3,21 @@
  * Tests for the event-driven CoE request-stream scheduler: scheduler
  * policies against the live LRU cache, latency-tail and saturation
  * behaviour, the closed-loop arrival process, the Distribution sample
- * recorder, and bit-exactness of the legacy analytic mode against
- * values captured from the pre-refactor simulator.
+ * recorder, bit-exactness of the legacy analytic mode against
+ * values captured from the pre-refactor simulator, and the engine's
+ * admission queue against an id-ordered std::map.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <vector>
+
+#include "coe/admission_queue.h"
 #include "coe/serving.h"
+#include "coe/serving_engine.h"
 #include "sim/log.h"
 #include "sim/stats.h"
 
@@ -354,4 +362,162 @@ TEST(StreamScheduler, RejectsBadStreamConfigs)
     cfg.arrival = ArrivalProcess::ClosedLoop;
     cfg.thinkSeconds = -0.5;
     EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError);
+}
+
+// ------------------------------------------------- admission queue
+
+namespace {
+
+using Queue = AdmissionQueue<EngineRequest>;
+using Reference = std::map<int, EngineRequest>;
+
+EngineRequest
+request(int id, int expert)
+{
+    EngineRequest r;
+    r.id = id;
+    r.expert = expert;
+    return r;
+}
+
+/** Same size, same front, and the same values in the same order. */
+void
+expectSameQueue(const Queue &q, const Reference &ref)
+{
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    if (!ref.empty()) {
+        EXPECT_EQ(q.front().id, ref.begin()->first);
+        EXPECT_EQ(q.front().expert, ref.begin()->second.expert);
+    }
+    auto it = ref.begin();
+    for (const EngineRequest &r : q) {
+        ASSERT_NE(it, ref.end());
+        EXPECT_EQ(r.id, it->first);
+        EXPECT_EQ(r.expert, it->second.expert);
+        ++it;
+    }
+    EXPECT_EQ(it, ref.end());
+}
+
+/**
+ * Drive @p ops seeded operations through the queue and a map. Ids
+ * mostly arrive in order; @p out_of_order_pct of inserts reuse an
+ * older id (a re-dispatch, or a duplicate when it is still queued).
+ * Until @p depth requests are queued, inserts dominate.
+ * @p peak receives the deepest the queue got.
+ */
+void
+runAgainstMap(std::uint64_t seed, int ops, std::size_t depth,
+              int out_of_order_pct, std::size_t &peak)
+{
+    sim::Rng rng(seed);
+    Queue q;
+    Reference ref;
+    int next_id = 0;
+    peak = 0;
+    for (int op = 0; op < ops; ++op) {
+        int pick = static_cast<int>(rng.uniformInt(100));
+        int insert_pct = ref.size() < depth ? 70 : 40;
+        if (pick < insert_pct || ref.empty()) {
+            int id = next_id++;
+            if (static_cast<int>(rng.uniformInt(100)) < out_of_order_pct)
+                id = static_cast<int>(rng.uniformInt(
+                    static_cast<std::uint64_t>(next_id)));
+            EngineRequest r = request(id, op);
+            bool want = ref.emplace(id, r).second;
+            ASSERT_EQ(q.insert(id, r), want) << "insert " << id;
+        } else if (pick < insert_pct + 15) {
+            // Take the front (FIFO formation, pass 3).
+            EngineRequest got = q.takeFront();
+            EXPECT_EQ(got.id, ref.begin()->first);
+            EXPECT_EQ(got.expert, ref.begin()->second.expert);
+            ref.erase(ref.begin());
+        } else if (pick < insert_pct + 40) {
+            // Take by id from anywhere (affinity passes 1 and 2).
+            auto it = ref.lower_bound(static_cast<int>(
+                rng.uniformInt(static_cast<std::uint64_t>(next_id))));
+            if (it == ref.end())
+                it = std::prev(ref.end());
+            EngineRequest got = q.take(it->first);
+            EXPECT_EQ(got.id, it->first);
+            EXPECT_EQ(got.expert, it->second.expert);
+            ref.erase(it);
+        } else {
+            // Cancel an id that may or may not be queued (a hedge loser).
+            int id = static_cast<int>(
+                rng.uniformInt(static_cast<std::uint64_t>(next_id)));
+            auto it = ref.find(id);
+            const EngineRequest *found = q.find(id);
+            ASSERT_EQ(found != nullptr, it != ref.end()) << "find " << id;
+            if (found) {
+                EXPECT_EQ(found->expert, it->second.expert);
+                EXPECT_EQ(q.take(id).expert, it->second.expert);
+                ref.erase(it);
+            }
+        }
+        peak = std::max(peak, ref.size());
+        EXPECT_EQ(q.size(), ref.size());
+        if (!ref.empty()) {
+            EXPECT_EQ(q.front().id, ref.begin()->first);
+        }
+        if (op % 997 == 0)
+            expectSameQueue(q, ref);
+    }
+    expectSameQueue(q, ref);
+    std::vector<EngineRequest> drained = q.extract();
+    ASSERT_EQ(drained.size(), ref.size());
+    auto it = ref.begin();
+    for (const EngineRequest &r : drained) {
+        EXPECT_EQ(r.id, it->first);
+        EXPECT_EQ(r.expert, it->second.expert);
+        ++it;
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.begin() != q.end(), false);
+    // The drained queue is reusable.
+    ASSERT_TRUE(q.insert(7, request(7, 1)));
+    EXPECT_FALSE(q.insert(7, request(7, 2)));
+    EXPECT_EQ(q.front().expert, 1);
+}
+
+} // namespace
+
+TEST(AdmissionQueue, MatchesMapInOrder)
+{
+    std::size_t peak = 0;
+    for (std::uint64_t seed : {1u, 2u, 3u})
+        runAgainstMap(seed, 20000, 64, 0, peak);
+}
+
+TEST(AdmissionQueue, MatchesMapOutOfOrderWithDuplicates)
+{
+    std::size_t peak = 0;
+    for (std::uint64_t seed : {4u, 5u, 6u})
+        runAgainstMap(seed, 20000, 64, 20, peak);
+}
+
+TEST(AdmissionQueue, MatchesMapDeep)
+{
+    // An overloaded node: over 10^4 queued while requests leave from
+    // the front, the middle and by cancellation.
+    std::size_t peak = 0;
+    runAgainstMap(7, 60000, 12000, 5, peak);
+    EXPECT_GE(peak, 10000u);
+}
+
+TEST(AdmissionQueue, RevivesATakenIdInPlace)
+{
+    Queue q;
+    for (int id = 0; id < 4; ++id)
+        ASSERT_TRUE(q.insert(id, request(id, id)));
+    EXPECT_EQ(q.take(2).expert, 2);
+    EXPECT_EQ(q.find(2), nullptr);
+    ASSERT_TRUE(q.insert(2, request(2, 9))); // re-dispatched back here
+    ASSERT_NE(q.find(2), nullptr);
+    EXPECT_EQ(q.find(2)->expert, 9);
+    std::vector<int> ids;
+    for (const EngineRequest &r : q)
+        ids.push_back(r.id);
+    EXPECT_EQ(ids, (std::vector<int>{0, 1, 2, 3}));
 }

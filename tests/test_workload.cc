@@ -699,3 +699,65 @@ TEST(TimeRange, LinkLatencyFlagRejectsHugeAndNan)
                                "3.5"}),
               "");
 }
+
+// ------------------------------------------------- Zipf skew inputs
+
+namespace {
+
+/** Parse @p argv with the workload flags; @return the error. */
+std::string
+workloadFlagError(const std::vector<std::string> &argv)
+{
+    tools::FlagParser p("serve", [](std::ostream &) {});
+    ServingConfig cfg;
+    tools::WorkloadFlagState st;
+    tools::addWorkloadFlags(p, cfg, st);
+    std::ostringstream help;
+    try {
+        p.parse(argv, help);
+        tools::validateWorkloadFlags(p, cfg, st);
+    } catch (const tools::FlagUsageError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(ZipfSkew, NanOrInfiniteSkewNamesTheFlag)
+{
+    // A NaN skew made every CDF entry NaN, so every prompt fell through
+    // to the last expert and the run reported a 0.1% miss rate.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double s : {std::nan(""), inf, 0.0, -1.0}) {
+        ServingConfig cfg = streamConfig();
+        cfg.streamRequests = 50;
+        cfg.zipfS = s;
+        expectFatalNaming([&] { ServingSimulator(cfg).run(); },
+                          "--zipf-s");
+    }
+}
+
+TEST(ZipfSkew, FlagRejectsNanInfAndNonPositive)
+{
+    for (const char *v : {"nan", "inf", "-inf", "0", "-1"}) {
+        std::string err =
+            workloadFlagError({"--routing", "zipf", "--zipf-s", v});
+        EXPECT_NE(err.find("--zipf-s"), std::string::npos)
+            << v << ": '" << err << "'";
+    }
+    EXPECT_EQ(workloadFlagError({"--routing", "zipf", "--zipf-s", "1.2"}),
+              "");
+}
+
+TEST(ZipfSkew, TenantSpecRejectsNanSkew)
+{
+    for (double s : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     0.0}) {
+        ServingConfig cfg = streamConfig();
+        TenantSpec t;
+        t.zipfS = s;
+        cfg.workload.tenantSpecs = {t};
+        EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError) << s;
+    }
+}

@@ -17,6 +17,7 @@
 #ifndef SN40L_TOOLS_CLI_CONFIG_H
 #define SN40L_TOOLS_CLI_CONFIG_H
 
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -77,6 +78,8 @@ addWorkloadFlags(FlagParser &p, coe::ServingConfig &cfg,
     });
     p.value("--zipf-s", [&](const std::string &v) {
         cfg.zipfS = std::stod(v);
+        if (!(cfg.zipfS > 0.0) || !std::isfinite(cfg.zipfS))
+            p.fail("--zipf-s must be a positive finite number");
         st.setZipfS = true;
     });
     p.flag("--prefetch", [&]() { cfg.predictivePrefetch = true; });
