@@ -482,80 +482,154 @@ struct ClusterSimulator::RunState
     std::unique_ptr<ShardWorkerPool> pool;
 };
 
+void
+validateClusterConfig(const ClusterConfig &cfg)
+{
+    using sim::requireValue;
+    using sim::withinHorizon;
+    requireValue(cfg.nodes >= 1, "--nodes", cfg.nodes, "must be at least 1");
+    ServingConfig node = cfg.node;
+    node.mode = ServingMode::EventDriven; // the cluster always streams
+    validateServingConfig(node);
+    const WorkloadConfig &w = node.workload;
+    const bool closed_loop = node.arrival == ArrivalProcess::ClosedLoop;
+    bool sessions = w.sessionFollowProb > 0.0;
+    for (const TenantSpec &t : w.tenantSpecs)
+        sessions = sessions || t.sessionFollowProb > 0.0;
+    const bool generates_sessions = sessions && !w.replay();
+
+    requireValue(cfg.hotExperts >= 0 && cfg.hotExperts <= node.numExperts,
+                 "--hot-experts", cfg.hotExperts, "must be in [0, --experts]");
+    requireValue(withinHorizon(cfg.drainAtSeconds), "--drain-at",
+                 cfg.drainAtSeconds, sim::kTimeRule);
+    requireValue(withinHorizon(cfg.rejoinAtSeconds), "--rejoin-at",
+                 cfg.rejoinAtSeconds, sim::kTimeRule);
+    if (cfg.drainAtSeconds > 0.0) {
+        if (cfg.nodes < 2)
+            sim::fatal("--drain-at needs at least 2 nodes (requests must "
+                       "have somewhere to go)");
+        requireValue(cfg.drainNode >= 0 && cfg.drainNode < cfg.nodes,
+                     "--drain-node", cfg.drainNode, "must be in [0, --nodes)");
+        requireValue(cfg.rejoinAtSeconds == 0.0 ||
+                         cfg.rejoinAtSeconds > cfg.drainAtSeconds,
+                     "--rejoin-at", cfg.rejoinAtSeconds,
+                     "must come after --drain-at");
+    } else if (cfg.rejoinAtSeconds > 0.0) {
+        sim::fatal("--rejoin-at requires --drain-at");
+    }
+
+    requireValue(cfg.threads >= 1, "--threads", cfg.threads,
+                 "must be at least 1");
+    // Parallel windows only work when nothing closes a zero-lookahead
+    // feedback loop from the shards back into the hub (arrivals and
+    // dispatch) mid-window.
+    if (cfg.threads > 1 && closed_loop)
+        sim::fatal("--threads > 1 cannot drive closed-loop arrivals "
+                   "(batch completions on a shard re-issue clients "
+                   "instantly, which leaves the windows zero lookahead); "
+                   "use --threads 1");
+    if (cfg.threads > 1 && generates_sessions)
+        sim::fatal("--threads > 1 cannot generate conversational sessions "
+                   "(follow-up turns are triggered by shard-side "
+                   "completions); replay a recorded trace (--trace-in) or "
+                   "use --threads 1");
+    if (cfg.threads > 1 && cfg.dispatch == DispatchPolicy::LeastOutstanding)
+        sim::fatal("--threads > 1 cannot use --dispatch least-outstanding "
+                   "(it reads per-node queue state that is stale "
+                   "mid-window); use round-robin or expert-affinity");
+
+    RateShape diurnal;
+    diurnal.diurnalAmplitude = cfg.diurnalAmplitude;
+    diurnal.diurnalPeriodSeconds = cfg.diurnalPeriodSeconds;
+    validateShape(diurnal);
+    if (cfg.diurnalAmplitude > 0.0 && node.arrival != ArrivalProcess::Poisson)
+        sim::fatal("--diurnal-amplitude modulates the open-loop Poisson "
+                   "rate; it cannot be combined with a closed loop");
+    for (const ClusterNodeOverride &o : cfg.overrides) {
+        requireValue(o.node >= 0 && o.node < cfg.nodes, "override node",
+                     o.node, "must be in [0, --nodes)");
+        requireValue(o.dmaEngines >= 0, "--node-dma-engines", o.dmaEngines,
+                     "entries must be non-negative");
+        requireValue(o.expertRegionBytes >= 0, "--node-region-gb",
+                     static_cast<double>(o.expertRegionBytes) / 1e9,
+                     "entries must be positive");
+    }
+
+    for (const ScheduledAction &a : cfg.actions) {
+        requireValue(withinHorizon(a.atSeconds), "--schedule time",
+                     a.atSeconds, sim::kTimeRule);
+        switch (a.kind) {
+          case ActionKind::Drain:
+            if (cfg.nodes < 2)
+                sim::fatal("--schedule drain needs at least 2 nodes "
+                           "(requests must have somewhere to go)");
+            [[fallthrough]];
+          case ActionKind::Rejoin:
+            requireValue(a.node >= 0 && a.node < cfg.nodes,
+                         "--schedule node", a.node,
+                         "must be in [0, --nodes)");
+            break;
+          case ActionKind::RateOverride:
+            requireValue(a.rateFactor > 0.0 && std::isfinite(a.rateFactor),
+                         "--schedule rate factor", a.rateFactor,
+                         "must be a positive finite number");
+            if (closed_loop)
+                sim::fatal("--schedule rate overrides modulate open-loop "
+                           "arrivals; they cannot be combined with a "
+                           "closed loop");
+            if (w.replay())
+                sim::fatal("--schedule rate overrides cannot modulate a "
+                           "replayed trace (its timing is recorded)");
+            break;
+        }
+    }
+
+    validateControllerConfig(cfg.controller, cfg.nodes);
+
+    validateFabricConfig(cfg.fabric);
+    if (cfg.dispatch == DispatchPolicy::TopologyAware && !cfg.fabric.enabled)
+        sim::fatal("--dispatch topo-aware reads path congestion off the "
+                   "interconnect; it requires --topology");
+
+    validateFaultPolicy(cfg.faultPolicy);
+    if (!cfg.faults || cfg.faults->empty())
+        return;
+    validateFaultSchedule(*cfg.faults, cfg.nodes);
+    bool displacing = false;
+    for (const FaultEvent &e : *cfg.faults) {
+        if (e.kind == FaultKind::NodeCrash && cfg.nodes < 2)
+            sim::fatal("--faults crash events need at least 2 nodes "
+                       "(displaced requests must have somewhere to go)");
+        if (e.kind == FaultKind::LinkDegrade && !cfg.fabric.enabled)
+            sim::fatal("--faults link-degrade events act on the "
+                       "interconnect; they require --topology");
+        displacing = displacing || e.kind == FaultKind::NodeCrash ||
+            e.kind == FaultKind::FlakyNode;
+    }
+    // A displaced-then-lost request never completes, which would wedge
+    // a client pool and starve session follow-ups of their trigger:
+    // the workload could not emit its full budget.
+    if (displacing && closed_loop)
+        sim::fatal("--faults crash/flaky events cannot drive closed-loop "
+                   "arrivals (a lost request would never free its "
+                   "client); use open-loop arrivals");
+    if (displacing && generates_sessions)
+        sim::fatal("--faults crash/flaky events cannot generate "
+                   "conversational sessions (a lost turn would never "
+                   "trigger its follow-up); replay a recorded trace "
+                   "instead");
+}
+
 ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
 {
     cfg_.node.mode = ServingMode::EventDriven;
-    validateServingConfig(cfg_.node);
-
-    if (cfg_.nodes <= 0)
-        sim::fatal("ClusterConfig: need at least one node");
-    if (cfg_.hotExperts < 0)
-        sim::fatal("ClusterConfig: negative hotExperts");
-    if (cfg_.hotExperts > cfg_.node.numExperts)
-        sim::fatal("ClusterConfig: hotExperts exceeds the expert count");
-    if (cfg_.drainAtSeconds < 0.0 || cfg_.rejoinAtSeconds < 0.0)
-        sim::fatal("ClusterConfig: negative drain/rejoin time");
-    if (cfg_.drainAtSeconds > 0.0) {
-        if (cfg_.nodes < 2)
-            sim::fatal("ClusterConfig: draining needs at least 2 nodes "
-                       "(requests must have somewhere to go)");
-        if (cfg_.drainNode < 0 || cfg_.drainNode >= cfg_.nodes)
-            sim::fatal("ClusterConfig: drainNode out of range");
-        if (cfg_.rejoinAtSeconds > 0.0 &&
-            cfg_.rejoinAtSeconds <= cfg_.drainAtSeconds)
-            sim::fatal("ClusterConfig: rejoin must come after the drain");
-    } else if (cfg_.rejoinAtSeconds > 0.0) {
-        sim::fatal("ClusterConfig: rejoin without a drain");
-    }
-    if (cfg_.threads < 1)
-        sim::fatal("ClusterConfig: threads must be at least 1");
-    if (cfg_.threads > 1) {
-        // Parallel windows only work when nothing closes a
-        // zero-lookahead feedback loop from the shards back into the
-        // hub (arrivals/dispatch) mid-window.
-        if (cfg_.node.arrival == ArrivalProcess::ClosedLoop)
-            sim::fatal("ClusterConfig: threads > 1 cannot drive "
-                       "closed-loop arrivals (batch completions on a "
-                       "shard re-issue clients instantly, which leaves "
-                       "the windows zero lookahead); use threads=1");
-        bool sessions = cfg_.node.workload.sessionFollowProb > 0.0;
-        for (const TenantSpec &t : cfg_.node.workload.tenantSpecs)
-            sessions = sessions || t.sessionFollowProb > 0.0;
-        if (sessions && !cfg_.node.workload.replay())
-            sim::fatal("ClusterConfig: threads > 1 cannot generate "
-                       "conversational sessions (follow-up turns are "
-                       "triggered by shard-side completions); replay a "
-                       "recorded trace or use threads=1");
-        if (cfg_.dispatch == DispatchPolicy::LeastOutstanding)
-            sim::fatal("ClusterConfig: threads > 1 cannot use "
-                       "least-outstanding dispatch (it reads per-node "
-                       "queue state that is stale mid-window); use "
-                       "round-robin or expert-affinity");
-        if (cfg_.threads > cfg_.nodes) {
-            sim::logWarn("cluster",
-                         "clamping threads from " +
-                             std::to_string(cfg_.threads) + " to the "
-                             "node count " + std::to_string(cfg_.nodes) +
-                             " (one shard per node)");
-            cfg_.threads = cfg_.nodes;
-        }
-    }
-    if (cfg_.diurnalAmplitude < 0.0 || cfg_.diurnalAmplitude >= 1.0)
-        sim::fatal("ClusterConfig: diurnal amplitude must be in [0, 1)");
-    if (cfg_.diurnalAmplitude > 0.0) {
-        if (cfg_.node.arrival != ArrivalProcess::Poisson)
-            sim::fatal("ClusterConfig: diurnal ramp modulates the "
-                       "open-loop Poisson rate; it cannot be combined "
-                       "with a closed loop");
-        if (cfg_.diurnalPeriodSeconds <= 0.0)
-            sim::fatal("ClusterConfig: non-positive diurnal period");
-    }
-    for (const ClusterNodeOverride &o : cfg_.overrides) {
-        if (o.node < 0 || o.node >= cfg_.nodes)
-            sim::fatal("ClusterConfig: override for out-of-range node " +
-                       std::to_string(o.node));
-        if (o.dmaEngines < 0 || o.expertRegionBytes < 0)
-            sim::fatal("ClusterConfig: negative override value");
+    validateClusterConfig(cfg_);
+    if (cfg_.threads > cfg_.nodes) {
+        sim::logWarn("cluster",
+                     "clamping --threads " + std::to_string(cfg_.threads) +
+                         " to --nodes " + std::to_string(cfg_.nodes) +
+                         " (one shard per node)");
+        cfg_.threads = cfg_.nodes;
     }
 
     // The legacy drain trio desugars onto the general action list,
@@ -575,83 +649,8 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
             effectiveActions_.push_back(rejoin);
         }
     }
-    for (const ScheduledAction &a : cfg_.actions) {
-        if (a.atSeconds < 0.0)
-            sim::fatal("ScheduledAction: negative action time");
-        switch (a.kind) {
-          case ActionKind::Drain:
-            if (cfg_.nodes < 2)
-                sim::fatal("ScheduledAction: draining needs at least 2 "
-                           "nodes (requests must have somewhere to go)");
-            [[fallthrough]];
-          case ActionKind::Rejoin:
-            if (a.node < 0 || a.node >= cfg_.nodes)
-                sim::fatal("ScheduledAction: node out of range");
-            break;
-          case ActionKind::RateOverride:
-            if (a.rateFactor <= 0.0)
-                sim::fatal("ScheduledAction: rate factor must be "
-                           "positive");
-            if (cfg_.node.arrival == ArrivalProcess::ClosedLoop)
-                sim::fatal("ScheduledAction: rate overrides modulate "
-                           "open-loop arrivals; they cannot be combined "
-                           "with a closed loop");
-            if (cfg_.node.workload.replay())
-                sim::fatal("ScheduledAction: rate overrides cannot "
-                           "modulate a replayed trace (its timing is "
-                           "recorded)");
-            break;
-        }
-        effectiveActions_.push_back(a);
-    }
-
-    validateControllerConfig(cfg_.controller, cfg_.nodes);
-
-    validateFabricConfig(cfg_.fabric);
-    if (cfg_.dispatch == DispatchPolicy::TopologyAware &&
-        !cfg_.fabric.enabled)
-        sim::fatal("ClusterConfig: topology-aware dispatch reads path "
-                   "congestion off the interconnect; enable the fabric "
-                   "(--topology)");
-
-    validateFaultPolicy(cfg_.faultPolicy);
-    if (cfg_.faults && !cfg_.faults->empty()) {
-        validateFaultSchedule(*cfg_.faults, cfg_.nodes);
-        bool displacing = false;
-        for (const FaultEvent &e : *cfg_.faults) {
-            if (e.kind == FaultKind::NodeCrash && cfg_.nodes < 2)
-                sim::fatal("ClusterConfig: crash faults need at least "
-                           "2 nodes (displaced requests must have "
-                           "somewhere to go)");
-            if (e.kind == FaultKind::LinkDegrade &&
-                !cfg_.fabric.enabled)
-                sim::fatal("ClusterConfig: link-degrade faults act on "
-                           "the interconnect; enable the fabric "
-                           "(--topology)");
-            displacing = displacing ||
-                e.kind == FaultKind::NodeCrash ||
-                e.kind == FaultKind::FlakyNode;
-        }
-        if (displacing) {
-            // A displaced-then-lost request never completes, which
-            // would wedge a client pool and starve session follow-ups
-            // of their trigger — the workload could not emit its full
-            // budget.
-            if (cfg_.node.arrival == ArrivalProcess::ClosedLoop)
-                sim::fatal("ClusterConfig: crash/flaky faults cannot "
-                           "drive closed-loop arrivals (a lost request "
-                           "would never free its client); use open-loop "
-                           "arrivals");
-            bool sessions = cfg_.node.workload.sessionFollowProb > 0.0;
-            for (const TenantSpec &t : cfg_.node.workload.tenantSpecs)
-                sessions = sessions || t.sessionFollowProb > 0.0;
-            if (sessions && !cfg_.node.workload.replay())
-                sim::fatal("ClusterConfig: crash/flaky faults cannot "
-                           "generate conversational sessions (a lost "
-                           "turn would never trigger its follow-up); "
-                           "replay a recorded trace instead");
-        }
-    }
+    effectiveActions_.insert(effectiveActions_.end(), cfg_.actions.begin(),
+                             cfg_.actions.end());
 
     costs_ = computePhaseCosts(cfg_.node);
     if (cfg_.node.expertRegionBytes > 0)

@@ -332,10 +332,22 @@ struct ClusterResult
     double networkMeanLinkUtilization = 0.0;
 };
 
+/**
+ * Check every value and rule of a cluster config (the per-node serving
+ * config, the controller, fabric and chaos knobs, the scripted
+ * actions) and raise a FatalError naming the flag on the first
+ * violation. The ClusterSimulator constructor calls it; the CLI calls
+ * it too, so the range rules live only here.
+ */
+void validateClusterConfig(const ClusterConfig &cfg);
+
 class ClusterSimulator
 {
   public:
-    /** Validates the config (FatalError on contradictions). */
+    /**
+     * Validates the config (validateClusterConfig) and clamps threads
+     * to the node count, with a warning.
+     */
     explicit ClusterSimulator(ClusterConfig cfg);
     ~ClusterSimulator();
 

@@ -1,6 +1,7 @@
 #include "coe/controller.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <utility>
 #include <vector>
@@ -40,27 +41,31 @@ controllerPolicyFromName(const std::string &name)
 void
 validateControllerConfig(const ControllerConfig &cfg, int nodes)
 {
+    using sim::requireValue;
     if (cfg.policy == ControllerPolicy::Static)
         return; // the remaining knobs are inert
-    if (cfg.tickSeconds <= 0.0)
-        sim::fatal("ControllerConfig: non-positive tick");
-    if (cfg.minNodes < 1 || cfg.minNodes > nodes)
-        sim::fatal("ControllerConfig: minNodes outside [1, nodes]");
-    if (cfg.maxNodes != 0 &&
-        (cfg.maxNodes < cfg.minNodes || cfg.maxNodes > nodes))
-        sim::fatal("ControllerConfig: maxNodes outside [minNodes, "
-                   "nodes]");
-    if (cfg.scaleDownQueueDepth < 0.0 ||
-        cfg.scaleUpQueueDepth <= cfg.scaleDownQueueDepth)
-        sim::fatal("ControllerConfig: scale-up depth must exceed the "
-                   "non-negative scale-down depth");
-    if (cfg.targetUtilization <= 0.0 || cfg.targetUtilization > 1.0)
-        sim::fatal("ControllerConfig: target utilization outside "
-                   "(0, 1]");
-    if (cfg.cooldownTicks < 0)
-        sim::fatal("ControllerConfig: negative cooldown");
-    if (cfg.hotExpertTrack < 0)
-        sim::fatal("ControllerConfig: negative hot-expert track count");
+    requireValue(cfg.tickSeconds > 0.0 && sim::withinHorizon(cfg.tickSeconds),
+                 "--controller-tick", cfg.tickSeconds, sim::kPositiveTimeRule);
+    requireValue(cfg.minNodes >= 1 && cfg.minNodes <= nodes,
+                 "--controller-min", cfg.minNodes, "must be in [1, --nodes]");
+    requireValue(cfg.maxNodes == 0 ||
+                     (cfg.maxNodes >= cfg.minNodes && cfg.maxNodes <= nodes),
+                 "--controller-max", cfg.maxNodes,
+                 "must be in [--controller-min, --nodes]");
+    const double down = cfg.scaleDownQueueDepth;
+    requireValue(down >= 0.0 && std::isfinite(down), "--controller-down-depth",
+                 down, "must be a finite number >= 0");
+    requireValue(cfg.scaleUpQueueDepth > down &&
+                     std::isfinite(cfg.scaleUpQueueDepth),
+                 "--controller-up-depth", cfg.scaleUpQueueDepth,
+                 "must be finite and above --controller-down-depth");
+    requireValue(cfg.targetUtilization > 0.0 && cfg.targetUtilization <= 1.0,
+                 "--controller-target-util", cfg.targetUtilization,
+                 "must be in (0, 1]");
+    requireValue(cfg.cooldownTicks >= 0, "--controller-cooldown",
+                 cfg.cooldownTicks, "must be non-negative");
+    requireValue(cfg.hotExpertTrack >= 0, "--controller-hot",
+                 cfg.hotExpertTrack, "must be non-negative");
 }
 
 ClusterController::ClusterController(ClusterSimulator &cluster,

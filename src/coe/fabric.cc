@@ -1,6 +1,9 @@
 #include "coe/fabric.h"
 
+#include <cmath>
+
 #include "sim/log.h"
+#include "sim/ticks.h"
 #include "util/units.h"
 
 namespace sn40l::coe {
@@ -8,24 +11,18 @@ namespace sn40l::coe {
 void
 validateFabricConfig(const FabricConfig &cfg)
 {
+    using sim::requireValue;
     if (!cfg.enabled)
         return;
-    // Written as !(x >= 0) so that NaN fails too.
-    if (!(cfg.linkGbps > 0.0))
-        sim::fatal("fabric: non-positive link bandwidth");
-    if (!(cfg.linkLatencyUs >= 0.0))
-        sim::fatal("fabric: --link-latency-us " +
-                   util::formatGeneral(cfg.linkLatencyUs) +
-                   " is not a non-negative number");
-    if (!(cfg.linkLatencyUs * 1e-6 < sim::kHorizonSeconds))
-        sim::fatal("fabric: --link-latency-us " +
-                   util::formatGeneral(cfg.linkLatencyUs) +
-                   " is longer than simulated time can span; lower "
-                   "--link-latency-us");
-    if (cfg.linkBufferFlits < 1)
-        sim::fatal("fabric: need at least one link buffer flit");
-    if (!(cfg.flitBytes > 0.0))
-        sim::fatal("fabric: non-positive flit size");
+    requireValue(cfg.linkGbps > 0.0 && std::isfinite(cfg.linkGbps),
+                 "--link-gbps", cfg.linkGbps,
+                 "must be a positive finite number");
+    requireValue(sim::withinHorizon(cfg.linkLatencyUs * 1e-6),
+                 "--link-latency-us", cfg.linkLatencyUs, sim::kTimeRule);
+    requireValue(cfg.linkBufferFlits >= 1, "--link-buffer-flits",
+                 cfg.linkBufferFlits, "must be at least 1");
+    requireValue(cfg.flitBytes > 0.0, "flitBytes", cfg.flitBytes,
+                 "must be positive");
     double flit_seconds = cfg.flitBytes / (cfg.linkGbps * 1e9 / 8.0);
     if (!(flit_seconds < sim::kHorizonSeconds))
         sim::fatal("fabric: at --link-gbps " +
@@ -33,14 +30,12 @@ validateFabricConfig(const FabricConfig &cfg)
                    util::formatGeneral(cfg.flitBytes) +
                    "-byte flit takes longer than simulated time can "
                    "span; raise --link-gbps");
-    if (cfg.maxFlitsPerMessage < 1)
-        sim::fatal("fabric: need at least one flit per message");
-    if (!(cfg.requestOverheadBytes >= 0.0))
-        sim::fatal("fabric: request overhead is not a non-negative "
-                   "number of bytes");
-    if (!(cfg.requestPayloadBytes >= 0.0))
-        sim::fatal("fabric: request payload is not a non-negative "
-                   "number of bytes");
+    requireValue(cfg.maxFlitsPerMessage >= 1, "maxFlitsPerMessage",
+                 cfg.maxFlitsPerMessage, "must be at least 1");
+    requireValue(cfg.requestOverheadBytes >= 0.0, "requestOverheadBytes",
+                 cfg.requestOverheadBytes, "must be non-negative");
+    requireValue(cfg.requestPayloadBytes >= 0.0, "requestPayloadBytes",
+                 cfg.requestPayloadBytes, "must be non-negative");
 }
 
 sim::NetworkConfig

@@ -103,23 +103,27 @@ validateFaultSchedule(const std::vector<FaultEvent> &schedule, int nodes)
 void
 validateFaultPolicy(const FaultPolicyConfig &policy)
 {
-    if (policy.retryMax < 0)
-        sim::fatal("FaultPolicyConfig: negative retry budget");
-    if (policy.retryBackoffSeconds < 0.0)
-        sim::fatal("FaultPolicyConfig: negative retry backoff");
-    if (policy.retryBudget < -1)
-        sim::fatal("FaultPolicyConfig: retry budget must be >= -1");
-    if (policy.hedgeThreshold <= 0.0)
-        sim::fatal("FaultPolicyConfig: hedge threshold must be "
-                   "positive");
-    if (policy.brownoutDepth < 0.0)
-        sim::fatal("FaultPolicyConfig: negative brown-out depth");
-    if (policy.brownoutPriorityMax < 0)
-        sim::fatal("FaultPolicyConfig: negative brown-out priority");
-    if ((policy.hedge || policy.brownoutDepth > 0.0) &&
-        policy.policyTickSeconds <= 0.0)
-        sim::fatal("FaultPolicyConfig: hedge/brown-out need a "
-                   "positive policy tick");
+    using sim::requireValue;
+    using sim::withinHorizon;
+    requireValue(policy.retryMax >= 0, "--retry-max", policy.retryMax,
+                 "must be non-negative");
+    const double backoff = policy.retryBackoffSeconds;
+    requireValue(backoff > 0.0 && withinHorizon(backoff), "--retry-backoff-ms",
+                 backoff * 1e3, sim::kPositiveTimeRule);
+    requireValue(policy.retryBudget >= -1, "--retry-budget",
+                 static_cast<double>(policy.retryBudget),
+                 "must be -1 (unbounded) or non-negative");
+    const double hedge = policy.hedgeThreshold;
+    requireValue(hedge > 0.0 && std::isfinite(hedge), "--hedge-threshold",
+                 hedge, "must be a positive finite number");
+    const double depth = policy.brownoutDepth;
+    requireValue(depth >= 0.0 && std::isfinite(depth), "--brownout-depth",
+                 depth, "must be a finite number >= 0");
+    requireValue(policy.brownoutPriorityMax >= 0, "--brownout-prio",
+                 policy.brownoutPriorityMax, "must be non-negative");
+    const double tick = policy.policyTickSeconds;
+    requireValue(tick > 0.0 && withinHorizon(tick), "--policy-tick-ms",
+                 tick * 1e3, sim::kPositiveTimeRule);
 }
 
 // -------------------------------------------------------- JSONL IO

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/log.h"
-#include "util/units.h"
 
 namespace sn40l::coe {
 
@@ -72,12 +71,6 @@ Router::Router(int num_experts, RoutingDistribution dist,
     model_.name = "samba-coe-router";
 
     if (dist_ == RoutingDistribution::Zipf) {
-        // A NaN skew makes every CDF entry NaN, which sends every
-        // prompt to the last expert.
-        if (!(zipf_s > 0.0) || !std::isfinite(zipf_s))
-            sim::fatal("Router: --zipf-s must be a positive finite "
-                       "number (got " + util::formatGeneral(zipf_s) +
-                       ")");
         std::vector<double> cdf(static_cast<std::size_t>(numExperts_));
         double sum = 0.0;
         for (std::size_t i = 0; i < cdf.size(); ++i) {

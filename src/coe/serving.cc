@@ -54,61 +54,69 @@ schedulerPolicyFromName(const std::string &name)
 void
 validateServingConfig(const ServingConfig &cfg)
 {
-    if (cfg.numExperts <= 0 || cfg.batch <= 0 || cfg.requests <= 0)
-        sim::fatal("ServingConfig: non-positive counts");
+    using sim::requireValue;
+    using sim::withinHorizon;
+    requireValue(cfg.numExperts >= 1,
+                 cfg.zoo.enabled ? "--zoo-adapters" : "--experts",
+                 cfg.numExperts, "must be at least 1");
+    requireValue(cfg.batch >= 1, "--batch", cfg.batch, "must be at least 1");
+    requireValue(cfg.requests >= 1, "requests", cfg.requests,
+                 "must be at least 1");
+    requireValue(cfg.outputTokens >= 0, "--tokens", cfg.outputTokens,
+                 "must be non-negative");
+    // A NaN skew makes every CDF entry NaN, which sends every prompt
+    // to the last expert.
+    if (cfg.routing == RoutingDistribution::Zipf)
+        requireValue(cfg.zipfS > 0.0 && std::isfinite(cfg.zipfS), "--zipf-s",
+                     cfg.zipfS, "must be a positive finite number");
     if (cfg.mode == ServingMode::EventDriven) {
-        if (cfg.streamRequests <= 0)
-            sim::fatal("ServingConfig: non-positive streamRequests");
+        requireValue(cfg.streamRequests >= 1, "--requests",
+                     cfg.streamRequests, "must be at least 1");
         if (cfg.arrival == ArrivalProcess::Poisson) {
-            if (cfg.arrivalRatePerSec <= 0.0)
-                sim::fatal("ServingConfig: non-positive arrival rate");
-            double span = static_cast<double>(cfg.streamRequests) /
-                cfg.arrivalRatePerSec;
+            const double rate = cfg.arrivalRatePerSec;
+            requireValue(rate > 0.0 && std::isfinite(rate), "--arrival-rate",
+                         rate, "must be a positive finite number");
+            double span = static_cast<double>(cfg.streamRequests) / rate;
             if (!(span < sim::kHorizonSeconds))
-                sim::fatal("ServingConfig: --arrival-rate " +
-                           util::formatGeneral(cfg.arrivalRatePerSec) +
+                sim::fatal("--arrival-rate " + util::formatGeneral(rate) +
                            " req/s spreads " +
                            std::to_string(cfg.streamRequests) +
                            " requests past the end of simulated time (" +
                            util::formatGeneral(sim::kHorizonSeconds) +
                            " s); raise --arrival-rate or lower --requests");
         }
-        if (cfg.arrival == ArrivalProcess::ClosedLoop && cfg.clients <= 0)
-            sim::fatal("ServingConfig: non-positive client count");
-        if (cfg.thinkSeconds < 0.0)
-            sim::fatal("ServingConfig: negative think time");
-        if (!(cfg.thinkSeconds < sim::kHorizonSeconds))
-            sim::fatal("ServingConfig: --think " +
-                       util::formatGeneral(cfg.thinkSeconds) +
-                       " s runs past the end of simulated time");
-        if (cfg.dmaEngines <= 0)
-            sim::fatal("ServingConfig: need at least one DMA engine");
-        if (cfg.prefetchDepth < 0)
-            sim::fatal("ServingConfig: negative prefetch depth");
-        if (cfg.prefetchWindow < 0)
-            sim::fatal("ServingConfig: negative prefetch window");
+        if (cfg.arrival == ArrivalProcess::ClosedLoop)
+            requireValue(cfg.clients >= 1, "--clients", cfg.clients,
+                         "must be at least 1");
+        requireValue(withinHorizon(cfg.thinkSeconds), "--think",
+                     cfg.thinkSeconds, sim::kTimeRule);
+        requireValue(cfg.dmaEngines >= 1, "--dma-engines", cfg.dmaEngines,
+                     "must be at least 1");
+        requireValue(cfg.prefetchDepth >= 0, "--prefetch-depth",
+                     cfg.prefetchDepth, "must be non-negative");
+        requireValue(cfg.prefetchWindow >= 0, "--prefetch-window",
+                     cfg.prefetchWindow, "must be non-negative");
     }
-    if (cfg.expertRegionBytes < 0)
-        sim::fatal("ServingConfig: negative expert region size");
+    requireValue(cfg.expertRegionBytes >= 0, "--expert-region-gb",
+                 static_cast<double>(cfg.expertRegionBytes) / 1e9,
+                 "must be positive");
     if (cfg.specDecode.enabled) {
-        if (cfg.specDecode.gamma < 0)
-            sim::fatal("ServingConfig: negative spec-decode gamma");
-        if (cfg.specDecode.acceptRate < 0.0 ||
-            cfg.specDecode.acceptRate > 1.0)
-            sim::fatal("ServingConfig: spec-decode acceptRate outside "
-                       "[0, 1]");
-        if (cfg.specDecode.draftRatio <= 0.0 ||
-            cfg.specDecode.draftRatio >= 1.0)
-            sim::fatal("ServingConfig: spec-decode draftRatio outside "
-                       "(0, 1)");
+        const SpecDecodeServingConfig &sd = cfg.specDecode;
+        requireValue(sd.gamma >= 0, "--spec-gamma", sd.gamma,
+                     "must be non-negative");
+        requireValue(sd.acceptRate >= 0.0 && sd.acceptRate <= 1.0,
+                     "--spec-accept", sd.acceptRate, "must be in [0, 1]");
+        requireValue(sd.draftRatio > 0.0 && sd.draftRatio < 1.0,
+                     "--spec-draft-ratio", sd.draftRatio, "must be in (0, 1)");
     }
     if (cfg.zoo.enabled) {
-        if (cfg.zoo.rank <= 0)
-            sim::fatal("ServingConfig: non-positive zoo LoRA rank");
-        if (cfg.zoo.churnEverySeconds < 0.0)
-            sim::fatal("ServingConfig: negative zoo churn period");
-        if (cfg.zoo.dmaSetupSeconds < 0.0)
-            sim::fatal("ServingConfig: negative zoo DMA setup time");
+        requireValue(cfg.zoo.rank >= 1, "--zoo-rank", cfg.zoo.rank,
+                     "must be at least 1");
+        requireValue(withinHorizon(cfg.zoo.churnEverySeconds), "--zoo-churn",
+                     cfg.zoo.churnEverySeconds, sim::kTimeRule);
+        requireValue(withinHorizon(cfg.zoo.dmaSetupSeconds),
+                     "zoo.dmaSetupSeconds", cfg.zoo.dmaSetupSeconds,
+                     sim::kTimeRule);
     }
     validateWorkloadConfig(cfg);
 }

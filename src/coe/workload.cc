@@ -64,6 +64,33 @@ RateShape::instantaneous(double base, double t) const
     return rate;
 }
 
+void
+validateShape(const RateShape &shape, const std::string &prefix)
+{
+    using sim::requireValue;
+    using sim::withinHorizon;
+    const double amp = shape.diurnalAmplitude;
+    const bool bursts = shape.burstFactor > 1.0;
+    requireValue(amp >= 0.0 && amp < 1.0, prefix + "--diurnal-amplitude",
+                 amp, "must be in [0, 1)");
+    requireValue(withinHorizon(shape.diurnalPeriodSeconds) &&
+                     (amp == 0.0 || shape.diurnalPeriodSeconds > 0.0),
+                 prefix + "--diurnal-period", shape.diurnalPeriodSeconds,
+                 sim::kPositiveTimeRule);
+    requireValue(shape.burstFactor >= 1.0 && std::isfinite(shape.burstFactor),
+                 prefix + "--burst-factor", shape.burstFactor,
+                 "must be a finite number >= 1");
+    requireValue(withinHorizon(shape.burstEverySeconds) &&
+                     (!bursts || shape.burstEverySeconds > 0.0),
+                 prefix + "--burst-every", shape.burstEverySeconds,
+                 sim::kPositiveTimeRule);
+    requireValue(withinHorizon(shape.burstSeconds) &&
+                     (!bursts || shape.burstSeconds > 0.0) &&
+                     (!bursts || shape.burstSeconds <= shape.burstEverySeconds),
+                 prefix + "--burst-seconds", shape.burstSeconds,
+                 "must be > 0 and at most --burst-every");
+}
+
 namespace {
 
 /**
@@ -88,24 +115,6 @@ applyZooChurn(const ZooServingConfig &zoo, int num_experts,
     int offset = static_cast<int>(
         mix64(period) % static_cast<std::uint64_t>(num_experts));
     return (expert + offset) % num_experts;
-}
-
-void
-validateShape(const RateShape &shape, const std::string &who)
-{
-    if (shape.diurnalAmplitude < 0.0 || shape.diurnalAmplitude >= 1.0)
-        sim::fatal(who + ": diurnal amplitude must be in [0, 1)");
-    if (shape.diurnalAmplitude > 0.0 && shape.diurnalPeriodSeconds <= 0.0)
-        sim::fatal(who + ": non-positive diurnal period");
-    if (shape.burstFactor < 1.0)
-        sim::fatal(who + ": burst factor must be at least 1");
-    if (shape.burstFactor > 1.0) {
-        if (shape.burstEverySeconds <= 0.0 || shape.burstSeconds <= 0.0)
-            sim::fatal(who + ": bursts need positive --burst-every and "
-                             "--burst-seconds");
-        if (shape.burstSeconds > shape.burstEverySeconds)
-            sim::fatal(who + ": burst window exceeds its period");
-    }
 }
 
 // ------------------------------------------------------- open loop
@@ -717,55 +726,47 @@ loadTrace(const std::string &path)
 void
 validateWorkloadConfig(const ServingConfig &cfg)
 {
+    using sim::requireValue;
+    using sim::withinHorizon;
     const WorkloadConfig &w = cfg.workload;
-    if (w.tenants < 1)
-        sim::fatal("WorkloadConfig: tenants must be at least 1");
-    if (w.sloSeconds < 0.0)
-        sim::fatal("WorkloadConfig: negative SLO deadline");
-    if (w.sessionFollowProb < 0.0 || w.sessionFollowProb > 1.0)
-        sim::fatal("WorkloadConfig: session follow probability outside "
-                   "[0, 1]");
-    if (w.sessionMaxTurns < 1)
-        sim::fatal("WorkloadConfig: sessions need at least one turn");
-    if (w.sessionThinkSeconds < 0.0)
-        sim::fatal("WorkloadConfig: negative session think time");
-    if (!(w.sessionThinkSeconds < sim::kHorizonSeconds))
-        sim::fatal("WorkloadConfig: --session-think " +
-                   util::formatGeneral(w.sessionThinkSeconds) +
-                   " s runs past the end of simulated time (" +
-                   util::formatGeneral(sim::kHorizonSeconds) + " s)");
-    validateShape(w.shape, "WorkloadConfig");
+    requireValue(w.tenants >= 1, "--tenants", w.tenants, "must be at least 1");
+    requireValue(withinHorizon(w.sloSeconds), "--slo-ms", w.sloSeconds * 1e3,
+                 sim::kTimeRule);
+    requireValue(w.sessionFollowProb >= 0.0 && w.sessionFollowProb <= 1.0,
+                 "--session-prob", w.sessionFollowProb, "must be in [0, 1]");
+    requireValue(w.sessionMaxTurns >= 1, "--session-turns", w.sessionMaxTurns,
+                 "must be at least 1");
+    requireValue(withinHorizon(w.sessionThinkSeconds), "--session-think",
+                 w.sessionThinkSeconds, sim::kTimeRule);
+    validateShape(w.shape);
     if (w.multiTenant() && cfg.arrival == ArrivalProcess::ClosedLoop)
         sim::fatal("WorkloadConfig: tenant mixes and sessions are "
                    "open-loop workloads; they cannot be combined with a "
                    "closed loop");
     for (const TenantSpec &t : w.tenantSpecs) {
-        if (t.rateShare <= 0.0)
-            sim::fatal("TenantSpec " + t.name +
-                       ": non-positive rate share");
-        if (!(t.zipfS > 0.0) || !std::isfinite(t.zipfS))
-            sim::fatal("TenantSpec " + t.name +
-                       ": zipf skew must be a positive finite number");
-        if (t.expertOffset < 0 || t.expertOffset >= cfg.numExperts)
-            sim::fatal("TenantSpec " + t.name +
-                       ": expert offset outside the expert pool");
+        const std::string tw = "TenantSpec " + t.name + ": ";
+        requireValue(t.rateShare > 0.0 && std::isfinite(t.rateShare),
+                     tw + "rateShare", t.rateShare, "must be positive");
+        requireValue(t.zipfS > 0.0 && std::isfinite(t.zipfS), tw + "zipfS",
+                     t.zipfS, "must be a positive finite number");
+        requireValue(t.expertOffset >= 0 && t.expertOffset < cfg.numExperts,
+                     tw + "expertOffset", t.expertOffset,
+                     "must lie inside the expert pool");
         if (t.promptLen < 0 || t.minOutputTokens < 0 ||
             t.maxOutputTokens < t.minOutputTokens)
-            sim::fatal("TenantSpec " + t.name +
-                       ": malformed request-shape bounds");
-        if (t.priority < 0)
-            sim::fatal("TenantSpec " + t.name + ": negative priority");
-        if (t.sloSeconds < 0.0)
-            sim::fatal("TenantSpec " + t.name + ": negative SLO");
-        if (t.sessionFollowProb < 0.0 || t.sessionFollowProb > 1.0)
-            sim::fatal("TenantSpec " + t.name +
-                       ": session follow probability outside [0, 1]");
-        if (t.sessionMaxTurns < 1)
-            sim::fatal("TenantSpec " + t.name +
-                       ": sessions need at least one turn");
-        if (t.thinkMeanSeconds < 0.0)
-            sim::fatal("TenantSpec " + t.name + ": negative think time");
-        validateShape(t.shape, "TenantSpec " + t.name);
+            sim::fatal(tw + "malformed request-shape bounds");
+        requireValue(t.priority >= 0, tw + "priority", t.priority,
+                     "must be non-negative");
+        requireValue(withinHorizon(t.sloSeconds), tw + "sloSeconds",
+                     t.sloSeconds, sim::kTimeRule);
+        requireValue(t.sessionFollowProb >= 0.0 && t.sessionFollowProb <= 1.0,
+                     tw + "sessionFollowProb", t.sessionFollowProb,
+                     "must be in [0, 1]");
+        requireValue(t.sessionMaxTurns >= 1, tw + "sessionMaxTurns",
+                     t.sessionMaxTurns, "must be at least 1");
+        requireValue(withinHorizon(t.thinkMeanSeconds), tw + "thinkMeanSeconds",
+                     t.thinkMeanSeconds, sim::kTimeRule);
+        validateShape(t.shape, tw);
     }
 }
 

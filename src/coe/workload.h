@@ -375,6 +375,12 @@ makeWorkloadModel(const ServingConfig &cfg,
  */
 void validateWorkloadConfig(const ServingConfig &cfg);
 
+/**
+ * Validate a rate shape's diurnal and burst knobs; @p prefix leads
+ * each error (empty for the flag-set shapes).
+ */
+void validateShape(const RateShape &shape, const std::string &prefix = "");
+
 } // namespace sn40l::coe
 
 #endif // SN40L_COE_WORKLOAD_H

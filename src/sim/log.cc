@@ -35,6 +35,17 @@ fatal(const std::string &msg)
 }
 
 void
+requireValue(bool ok, std::string_view name, double value,
+             std::string_view rule)
+{
+    if (ok)
+        return;
+    std::ostringstream os;
+    os << name << " " << value << " " << rule;
+    fatal(os.str());
+}
+
+void
 setLogLevel(LogLevel level)
 {
     g_level = level;

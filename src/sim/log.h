@@ -18,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sn40l::sim {
 
@@ -35,6 +36,15 @@ class FatalError : public std::runtime_error {
 
 [[noreturn]] void panic(const std::string &msg);
 [[noreturn]] void fatal(const std::string &msg);
+
+/**
+ * The config validators' range check: unless @p ok, fatal() with
+ * "<name> <value> <rule>", where @p name is the flag (or, for a field
+ * no flag sets, the field) that carries @p value. Write @p ok so that
+ * NaN makes it false: x >= 0.0, never !(x < 0.0).
+ */
+void requireValue(bool ok, std::string_view name, double value,
+                  std::string_view rule);
 
 /** Severity levels for the optional diagnostic log. */
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Quiet = 3 };

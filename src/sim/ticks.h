@@ -38,6 +38,19 @@ constexpr double kMaxSeconds =
  */
 constexpr double kHorizonSeconds = kMaxSeconds / 2.0;
 
+/** True for a time in [0, kHorizonSeconds); false for NaN and infinity. */
+constexpr bool
+withinHorizon(double seconds)
+{
+    return seconds >= 0.0 && seconds < kHorizonSeconds;
+}
+
+/** requireValue() rules for the times withinHorizon() checks. */
+constexpr const char *kTimeRule =
+    "must be >= 0 and shorter than simulated time can span";
+constexpr const char *kPositiveTimeRule =
+    "must be > 0 and shorter than simulated time can span";
+
 /**
  * A tick count held in a double, truncated to a Tick and saturating: a
  * value outside the tick range clamps to +-kMaxTick (NaN to kMaxTick)

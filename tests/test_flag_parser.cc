@@ -3,11 +3,15 @@
  * Unit tests for the sn40l_run flag parser (tools/flag_parser.h):
  * unknown flags name their subcommand, missing values and duplicate
  * flags fail, --flag=value and --flag value parse identically, --help
- * short-circuits, and parseList rejects malformed lists.
+ * short-circuits, parseList rejects malformed lists, the strict number
+ * conversions read whole strings only, and a bad value or a library
+ * FatalError reaches the user as a usage error naming the flag.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,7 +20,10 @@
 
 using namespace sn40l;
 using tools::FlagParser;
+using tools::BadNumber;
 using tools::FlagUsageError;
+using tools::parseDouble;
+using tools::parseInteger;
 using tools::parseList;
 using tools::splitEqualsArgs;
 
@@ -78,10 +85,8 @@ TEST(FlagParser, EqualsSpellingMatchesSpaceSpelling)
 
 TEST(FlagParser, SplitEqualsArgsOnlyTouchesDoubleDashFlags)
 {
-    const char *argv[] = {"sn40l_run", "fake", "--a=1", "plain=2", "-j",
-                          "4"};
     std::vector<std::string> out =
-        splitEqualsArgs(6, const_cast<char **>(argv), 2);
+        splitEqualsArgs({"--a=1", "plain=2", "-j", "4"});
     ASSERT_EQ(out.size(), 5u);
     EXPECT_EQ(out[0], "--a");
     EXPECT_EQ(out[1], "1");
@@ -191,4 +196,68 @@ TEST(ParseListFn, EmptyElementsAndEmptyListsFail)
                      "empty element");
     expectUsageError([&]() { parseList<int>(p, "", parse); },
                      "empty list");
+}
+
+TEST(StrictNumbers, IntegersMustBeWholeAndInRange)
+{
+    EXPECT_EQ(parseInteger<int>("150"), 150);
+    EXPECT_EQ(parseInteger<int>("-3"), -3);
+    EXPECT_EQ(parseInteger<int>("+7"), 7);
+    EXPECT_EQ(parseInteger<std::int64_t>("-1"), -1);
+    EXPECT_EQ(parseInteger<std::uint64_t>("18446744073709551615"),
+              UINT64_MAX);
+    // std::stoi read "1e3" as 1 and "12abc" as 12.
+    for (const char *v : {"1e3", "12abc", "abc", "", " 5", "5 ", "1.5",
+                          "+-5", "nan", "inf", "0x10"})
+        EXPECT_THROW(parseInteger<int>(v), BadNumber) << "'" << v << "'";
+    EXPECT_THROW(parseInteger<int>("99999999999"), BadNumber);
+    EXPECT_THROW(parseInteger<std::uint64_t>("-1"), BadNumber);
+}
+
+TEST(StrictNumbers, DoublesMustBeWhole)
+{
+    EXPECT_DOUBLE_EQ(parseDouble("2.5"), 2.5);
+    EXPECT_DOUBLE_EQ(parseDouble("1e3"), 1000.0);
+    EXPECT_DOUBLE_EQ(parseDouble("-0.5"), -0.5);
+    // NaN and infinity parse; the library validators reject them.
+    EXPECT_TRUE(std::isnan(parseDouble("nan")));
+    EXPECT_TRUE(std::isinf(parseDouble("inf")));
+    for (const char *v : {"1e3x", "2.5.1", "abc", "", " 1", "1 ", "1e400"})
+        EXPECT_THROW(parseDouble(v), BadNumber) << "'" << v << "'";
+}
+
+TEST(FlagParser, BadNumberNamesTheFlagAndValue)
+{
+    FlagParser p("fake", testHelp);
+    int requests = 0;
+    p.value("--requests",
+            [&](const std::string &v) { requests = parseInteger<int>(v); });
+    std::ostringstream help;
+    expectUsageError([&]() { p.parse({"--requests", "1e3"}, help); },
+                     "flag --requests: '1e3' is not a valid integer");
+    expectUsageError([&]() { p.parse({"--requests", "abc"}, help); },
+                     "flag --requests: 'abc'");
+    expectUsageError(
+        [&]() { p.parse({"--requests", "99999999999"}, help); },
+        "flag --requests: '99999999999' is not a valid integer");
+    EXPECT_EQ(requests, 0);
+}
+
+TEST(FlagParser, LibraryErrorsBecomeUsageErrors)
+{
+    FlagParser p("fake", testHelp);
+    p.value("--routing", [](const std::string &v) {
+        sim::fatal("unknown routing distribution '" + v + "'");
+    });
+    std::ostringstream help;
+    expectUsageError([&]() { p.parse({"--routing", "bogus"}, help); },
+                     "flag --routing: unknown routing distribution");
+    // validate() drops sim::fatal's "fatal: " prefix.
+    try {
+        p.validate([] { sim::fatal("ServingConfig: --batch 0 bad"); });
+        FAIL() << "validate did not throw";
+    } catch (const FlagUsageError &e) {
+        EXPECT_STREQ(e.what(), "ServingConfig: --batch 0 bad");
+    }
+    EXPECT_NO_THROW(p.validate([] {}));
 }

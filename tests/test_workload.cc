@@ -645,21 +645,34 @@ fabricCluster(double link_latency_us)
     return cfg;
 }
 
-/** Parse @p argv with the interconnect flags; @return the error. */
+/**
+ * Parse @p argv as a `serve`, `sweep` or `cluster` command line the way
+ * sn40l_run does: the CLI's flag checks, then the library validator.
+ * @return the FlagUsageError message, or "" when the line is accepted.
+ */
 std::string
-fabricFlagError(const std::vector<std::string> &argv)
+cliError(const std::string &sub, const std::vector<std::string> &argv)
 {
-    tools::FlagParser p("cluster", [](std::ostream &) {});
-    coe::FabricConfig cfg;
-    tools::FabricFlagState st;
-    tools::addFabricFlags(p, cfg, st);
+    tools::FlagParser p(sub.c_str(), [](std::ostream &) {});
     std::ostringstream help;
     try {
-        p.parse(argv, help);
+        if (sub == "serve")
+            tools::parseServeArgs(p, argv, help);
+        else if (sub == "sweep")
+            tools::parseSweepArgs(p, argv, help);
+        else
+            tools::parseClusterArgs(p, argv, help);
     } catch (const tools::FlagUsageError &e) {
         return e.what();
     }
     return "";
+}
+
+/** Parse @p argv as a cluster command line; @return the error. */
+std::string
+fabricFlagError(const std::vector<std::string> &argv)
+{
+    return cliError("cluster", argv);
 }
 
 } // namespace
@@ -704,22 +717,11 @@ TEST(TimeRange, LinkLatencyFlagRejectsHugeAndNan)
 
 namespace {
 
-/** Parse @p argv with the workload flags; @return the error. */
+/** Parse @p argv as a serve command line; @return the error. */
 std::string
 workloadFlagError(const std::vector<std::string> &argv)
 {
-    tools::FlagParser p("serve", [](std::ostream &) {});
-    ServingConfig cfg;
-    tools::WorkloadFlagState st;
-    tools::addWorkloadFlags(p, cfg, st);
-    std::ostringstream help;
-    try {
-        p.parse(argv, help);
-        tools::validateWorkloadFlags(p, cfg, st);
-    } catch (const tools::FlagUsageError &e) {
-        return e.what();
-    }
-    return "";
+    return cliError("serve", argv);
 }
 
 } // namespace
@@ -759,5 +761,175 @@ TEST(ZipfSkew, TenantSpecRejectsNanSkew)
         t.zipfS = s;
         cfg.workload.tenantSpecs = {t};
         EXPECT_THROW(ServingSimulator{cfg}, sim::FatalError) << s;
+    }
+}
+
+// ------------------------------------------------ numeric flag table
+
+namespace {
+
+/** One numeric flag: the flags it needs, a value that passes, and the
+ *  values that must fail naming @p flag. */
+struct FlagCase
+{
+    const char *sub;
+    std::vector<std::string> needs;
+    const char *flag;
+    const char *good;
+    std::vector<const char *> bad;
+};
+
+} // namespace
+
+TEST(FlagValidation, EveryNumericFlagRejectsNanInfAndOutOfRange)
+{
+    TempFile faults("flag_table_faults.jsonl");
+    {
+        std::ofstream out(faults.path);
+        out << "{\"sn40l_faults\":1,\"events\":1}\n"
+            << "{\"at\":1,\"kind\":\"crash\",\"node\":0,"
+               "\"factor\":1,\"duration\":0}\n";
+    }
+    // The two FOUND repros, verbatim: a NaN --retry-backoff-ms
+    // scheduled a retry at a negative tick (a panic), and a NaN
+    // --policy-tick-ms reported a 134% miss rate.
+    const std::vector<std::string> faulted = {
+        "--nodes", "2", "--requests", "400", "--faults", faults.path};
+    std::vector<std::string> retry = faulted;
+    retry.insert(retry.end(), {"--retry-max", "2"});
+    std::vector<std::string> hedge = faulted;
+    hedge.insert(hedge.end(), {"--hedge", "--slo-ms", "500"});
+    const std::vector<std::string> rr = {"--dispatch", "round-robin"};
+    const std::vector<std::string> zipf = {"--routing", "zipf"};
+    const std::vector<std::string> pre = {"--prefetch"};
+    const std::vector<std::string> closed = {"--closed-loop"};
+    const std::vector<std::string> spec = {"--spec-decode"};
+    const std::vector<std::string> zoo = {"--zoo-adapters", "100"};
+    const std::vector<std::string> ctl = {"--controller", "reactive"};
+    const std::vector<std::string> topo = {"--topology", "star"};
+    const std::vector<std::string> drain = {"--drain-at", "1"};
+    const std::vector<std::string> plan = {
+        "--plan-capacity", "--arrival-rate", "8", "--plan-p95-ms", "500"};
+    const std::vector<const char *> all = {"nan", "inf", "-1"};
+    const std::vector<FlagCase> cases = {
+        // workload and memory (shared by serve, sweep, cluster)
+        {"serve", {}, "--tokens", "20", all},
+        {"serve", {}, "--requests", "64", {"nan", "inf", "-1", "1e3"}},
+        {"serve", zipf, "--zipf-s", "1.2", all},
+        {"serve", pre, "--prefetch-depth", "2", all},
+        {"serve", pre, "--prefetch-window", "2", all},
+        {"serve", {}, "--dma-engines", "2", {"nan", "inf", "-1", "0"}},
+        {"serve", {}, "--expert-region-gb", "16", {"nan", "inf", "-1",
+                                                    "1e300"}},
+        // arrivals and scenarios
+        {"serve", {}, "--arrival-rate", "8", all},
+        {"serve", closed, "--clients", "4", all},
+        {"serve", closed, "--think", "0.5", all},
+        {"serve", {"--workload", "mix"}, "--tenants", "3", all},
+        {"serve", {}, "--slo-ms", "500", all},
+        {"serve", {}, "--session-prob", "0.5", all},
+        {"serve", {}, "--session-think", "2", all},
+        {"serve", {}, "--session-turns", "3", all},
+        {"serve", {"--burst-every", "5", "--burst-seconds", "1"},
+         "--burst-factor", "2", all},
+        {"serve", {"--burst-factor", "2", "--burst-seconds", "1"},
+         "--burst-every", "5", all},
+        {"serve", {"--burst-factor", "2", "--burst-every", "5"},
+         "--burst-seconds", "1", all},
+        {"serve", {}, "--experts", "100", all},
+        {"serve", {}, "--batch", "4", all},
+        {"serve", {}, "--seed", "7", all},
+        // spec decode and the adapter zoo
+        {"serve", spec, "--spec-gamma", "4", all},
+        {"serve", spec, "--spec-accept", "0.8", all},
+        {"serve", spec, "--spec-draft-ratio", "0.05", all},
+        {"serve", {}, "--zoo-adapters", "100", all},
+        {"serve", zoo, "--zoo-rank", "16", all},
+        {"serve", zoo, "--zoo-churn", "5", all},
+        // sweep axes and execution
+        {"sweep", {}, "--experts", "50,100", {"nan,100", "inf", "-1"}},
+        {"sweep", {}, "--arrival-rate", "8,16", {"nan", "8,inf", "-1"}},
+        {"sweep", {}, "--batch", "4,8", all},
+        {"sweep", {}, "--seeds", "1,2", all},
+        {"sweep", {}, "--jobs", "2", all},
+        {"sweep", {"--nodes", "2"}, "--brownout-depth", "4", all},
+        // cluster shape, scenarios and execution
+        {"cluster", {}, "--nodes", "2", all},
+        {"cluster", rr, "--threads", "2", all},
+        {"cluster", {}, "--hot-experts", "10", all},
+        {"cluster", {}, "--drain-at", "1", all},
+        {"cluster", drain, "--drain-node", "1", all},
+        {"cluster", drain, "--rejoin-at", "3", all},
+        {"cluster", {}, "--schedule", "drain:1:1",
+         {"drain:nan:1", "drain:inf:1", "drain:-1:1", "rate:1:nan",
+          "rate:1:-1"}},
+        {"cluster", {}, "--diurnal-amplitude", "0.5", all},
+        {"cluster", {"--diurnal-amplitude", "0.5"}, "--diurnal-period",
+         "20", all},
+        {"cluster", {"--nodes", "2"}, "--node-dma-engines", "2,4",
+         {"nan,4", "inf,4", "-1,4"}},
+        {"cluster", {"--nodes", "2"}, "--node-region-gb", "16,8",
+         {"nan,8", "inf,8", "-1,8", "1e300,8"}},
+        // control plane and capacity planning
+        {"cluster", ctl, "--controller-tick", "0.5", all},
+        {"cluster", ctl, "--controller-min", "1", all},
+        {"cluster", ctl, "--controller-max", "3", all},
+        {"cluster", ctl, "--controller-up-depth", "4", all},
+        {"cluster", ctl, "--controller-down-depth", "0.5", all},
+        {"cluster", ctl, "--controller-target-util", "0.7", all},
+        {"cluster", ctl, "--controller-cooldown", "4", all},
+        {"cluster", ctl, "--controller-hot", "2", all},
+        {"cluster", {"--plan-capacity", "--arrival-rate", "8"},
+         "--plan-p95-ms", "500", all},
+        {"cluster", plan, "--plan-max-nodes", "4", all},
+        {"cluster", plan, "--plan-max-shed-pct", "1", all},
+        // interconnect
+        {"cluster", topo, "--link-gbps", "2", all},
+        {"cluster", topo, "--link-latency-us", "5", all},
+        {"cluster", topo, "--link-buffer-flits", "8", all},
+        // chaos
+        {"cluster", faulted, "--retry-max", "2", all},
+        {"cluster", retry, "--retry-backoff-ms", "20",
+         {"nan", "inf", "-1", "1e300"}},
+        {"cluster", retry, "--retry-budget", "10", {"nan", "inf", "-2"}},
+        {"cluster", {"--hedge", "--slo-ms", "500"}, "--hedge-threshold",
+         "1", all},
+        {"cluster", {}, "--brownout-depth", "4", all},
+        {"cluster", {"--brownout-depth", "4"}, "--brownout-prio", "1", all},
+        {"cluster", hedge, "--policy-tick-ms", "50",
+         {"nan", "inf", "-1", "1e300"}},
+    };
+    for (const FlagCase &c : cases) {
+        std::vector<std::string> argv = c.needs;
+        argv.push_back(c.flag);
+        argv.push_back(c.good);
+        EXPECT_EQ(cliError(c.sub, argv), "")
+            << c.sub << " " << c.flag << " " << c.good;
+        for (const char *v : c.bad) {
+            argv.back() = v;
+            std::string err = cliError(c.sub, argv);
+            EXPECT_NE(err.find(c.flag), std::string::npos)
+                << c.sub << " " << c.flag << " " << v << ": '" << err
+                << "'";
+            EXPECT_EQ(err.find("fatal:"), std::string::npos) << err;
+        }
+    }
+}
+
+TEST(FlagValidation, RegionGigabytesConvertOnlyInRange)
+{
+    tools::FlagParser p("serve", [](std::ostream &) {});
+    EXPECT_EQ(tools::gbToBytes(p, "--expert-region-gb", 2.5),
+              std::int64_t{2500000000});
+    for (double gb : {std::nan(""), std::numeric_limits<double>::infinity(),
+                      1e300, 0.0, -1.0, 1e-12}) {
+        try {
+            tools::gbToBytes(p, "--expert-region-gb", gb);
+            ADD_FAILURE() << gb << " converted";
+        } catch (const tools::FlagUsageError &e) {
+            EXPECT_NE(std::string(e.what()).find("--expert-region-gb"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }

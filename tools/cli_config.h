@@ -1,33 +1,39 @@
 /**
  * @file
- * Shared sn40l_run flag tables. The serve / sweep / cluster
- * subcommands register the same workload, arrival, scenario, and
- * core-serving flags; those groups (and the cross-flag validation
- * that goes with them) live here so each flag is defined exactly
- * once and every subcommand rejects the same contradictions with the
- * same messages. The PR-6 control-plane flags (--controller-*,
- * --schedule, --plan-*) are declared here too, so the cluster
- * subcommand and any future consumer share one definition.
+ * Shared sn40l_run flag tables and the serve / sweep / cluster command
+ * parsers. The subcommands register the same workload, arrival,
+ * scenario, and core-serving flags; those groups live here so each
+ * flag is defined exactly once and every subcommand rejects the same
+ * contradictions with the same messages.
  *
- * Everything is a header-only helper over tools::FlagParser; the
- * functions only wire callbacks, so including this costs nothing at
- * runtime.
+ * Validation is split in two. The library validators
+ * (coe::validateServingConfig, coe::validateClusterConfig, and the
+ * ones they call) own every value and range rule and name the flag in
+ * their errors. This file keeps only what a config cannot express:
+ * "flag X requires flag Y" checks over the *FlagState structs, list
+ * lengths, unknown names, and guards that must run before a cast. Each
+ * parse*Args() runs those checks and then the library validator once,
+ * through FlagParser::validate, so both kinds of error reach the user
+ * as a FlagUsageError.
  */
 
 #ifndef SN40L_TOOLS_CLI_CONFIG_H
 #define SN40L_TOOLS_CLI_CONFIG_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coe/cluster.h"
 #include "coe/controller.h"
 #include "coe/serving.h"
+#include "coe/sweep.h"
 #include "coe/workload.h"
-#include "sim/ticks.h"
 #include "util/units.h"
 
 #include "flag_parser.h"
@@ -40,9 +46,38 @@ platformByName(const std::string &name)
     if (name == "sn40l") return coe::Platform::Sn40l;
     if (name == "dgx-a100") return coe::Platform::DgxA100;
     if (name == "dgx-h100") return coe::Platform::DgxH100;
-    std::cerr << "unknown platform '" << name
-              << "' (expected sn40l, dgx-a100, or dgx-h100)\n";
-    std::exit(1);
+    sim::fatal("unknown platform '" + name +
+               "' (expected sn40l, dgx-a100, or dgx-h100)");
+}
+
+/**
+ * --scheduler: fifo, affinity, or (serve and sweep) "both", resolved
+ * after parsing; an unknown name fails here, naming the flag.
+ */
+inline void
+addSchedulerFlag(FlagParser &p, std::string &scheduler_name)
+{
+    p.value("--scheduler", [&](const std::string &v) {
+        if (v != "both")
+            coe::schedulerPolicyFromName(v);
+        scheduler_name = v;
+    });
+}
+
+/**
+ * Bytes in @p gb gigabytes, for the region-size flag @p flag. The
+ * range check runs before the cast: a NaN or 1e300 GB would overflow
+ * the conversion to int64, which is undefined behaviour.
+ */
+inline std::int64_t
+gbToBytes(const FlagParser &p, const char *flag, double gb)
+{
+    const double bytes = gb * 1e9;
+    if (!(bytes >= 1.0 && bytes < 0x1p63))
+        p.fail(std::string(flag) + " " + util::formatGeneral(gb) +
+               " must be a number of GB in [1e-9, " +
+               util::formatGeneral(0x1p63 / 1e9) + ")");
+    return static_cast<std::int64_t>(bytes);
 }
 
 // ------------------------------------------- shared flag groups
@@ -67,38 +102,19 @@ addWorkloadFlags(FlagParser &p, coe::ServingConfig &cfg,
     p.value("--platform", [&](const std::string &v) {
         cfg.platform = platformByName(v);
     });
-    p.value("--tokens", [&](const std::string &v) {
-        cfg.outputTokens = std::stoi(v);
-    });
-    p.value("--requests", [&](const std::string &v) {
-        cfg.streamRequests = std::stoi(v);
-    });
+    p.number("--tokens", cfg.outputTokens);
+    p.number("--requests", cfg.streamRequests);
     p.value("--routing", [&](const std::string &v) {
         cfg.routing = coe::routingDistributionFromName(v);
     });
-    p.value("--zipf-s", [&](const std::string &v) {
-        cfg.zipfS = std::stod(v);
-        if (!(cfg.zipfS > 0.0) || !std::isfinite(cfg.zipfS))
-            p.fail("--zipf-s must be a positive finite number");
-        st.setZipfS = true;
-    });
+    p.number("--zipf-s", cfg.zipfS, &st.setZipfS);
     p.flag("--prefetch", [&]() { cfg.predictivePrefetch = true; });
-    p.value("--prefetch-depth", [&](const std::string &v) {
-        cfg.prefetchDepth = std::stoi(v);
-        st.setPrefetchDepth = true;
-    });
-    p.value("--prefetch-window", [&](const std::string &v) {
-        cfg.prefetchWindow = std::stoi(v);
-        st.setPrefetchWindow = true;
-    });
-    p.value("--dma-engines", [&](const std::string &v) {
-        cfg.dmaEngines = std::stoi(v);
-    });
+    p.number("--prefetch-depth", cfg.prefetchDepth, &st.setPrefetchDepth);
+    p.number("--prefetch-window", cfg.prefetchWindow, &st.setPrefetchWindow);
+    p.number("--dma-engines", cfg.dmaEngines);
     p.value("--expert-region-gb", [&p, &cfg](const std::string &v) {
-        double gb = std::stod(v);
-        if (gb <= 0.0)
-            p.fail("--expert-region-gb must be positive");
-        cfg.expertRegionBytes = static_cast<std::int64_t>(gb * 1e9);
+        cfg.expertRegionBytes =
+            gbToBytes(p, "--expert-region-gb", parseDouble(v));
     });
 }
 
@@ -113,12 +129,6 @@ validateWorkloadFlags(const FlagParser &p, const coe::ServingConfig &cfg,
         p.fail("--prefetch-depth requires --prefetch");
     if (st.setPrefetchWindow && !cfg.predictivePrefetch)
         p.fail("--prefetch-window requires --prefetch");
-    if (cfg.prefetchWindow < 0)
-        p.fail("--prefetch-window must be non-negative");
-    if (cfg.dmaEngines <= 0)
-        p.fail("--dma-engines must be at least 1");
-    if (cfg.prefetchDepth < 0)
-        p.fail("--prefetch-depth must be non-negative");
 }
 
 struct ArrivalFlagState
@@ -134,22 +144,13 @@ inline void
 addArrivalFlags(FlagParser &p, coe::ServingConfig &cfg,
                 ArrivalFlagState &st)
 {
-    p.value("--arrival-rate", [&](const std::string &v) {
-        cfg.arrivalRatePerSec = std::stod(v);
-        st.setArrivalRate = true;
-    });
+    p.number("--arrival-rate", cfg.arrivalRatePerSec, &st.setArrivalRate);
     p.flag("--closed-loop", [&]() {
         cfg.arrival = coe::ArrivalProcess::ClosedLoop;
         st.setClosedLoop = true;
     });
-    p.value("--clients", [&](const std::string &v) {
-        cfg.clients = std::stoi(v);
-        st.setClients = true;
-    });
-    p.value("--think", [&](const std::string &v) {
-        cfg.thinkSeconds = std::stod(v);
-        st.setThink = true;
-    });
+    p.number("--clients", cfg.clients, &st.setClients);
+    p.number("--think", cfg.thinkSeconds, &st.setThink);
 }
 
 inline void
@@ -184,57 +185,33 @@ inline void
 addScenarioFlags(FlagParser &p, coe::ServingConfig &cfg,
                  ScenarioFlagState &st)
 {
+    coe::WorkloadConfig &w = cfg.workload;
     p.value("--workload", [&](const std::string &v) {
         st.workloadName = v;
         st.setWorkload = true;
     });
-    p.value("--tenants", [&](const std::string &v) {
-        cfg.workload.tenants = std::stoi(v);
-        st.setTenants = true;
-    });
-    p.value("--slo-ms", [&p, &cfg](const std::string &v) {
-        double ms = std::stod(v);
-        if (ms <= 0.0)
+    p.number("--tenants", w.tenants, &st.setTenants);
+    p.value("--slo-ms", [&p, &w](const std::string &v) {
+        double ms = parseDouble(v);
+        // The library reads a 0 deadline as "no SLO"; on the command
+        // line that is spelled by leaving the flag out.
+        if (!(ms > 0.0))
             p.fail("--slo-ms must be positive");
-        cfg.workload.sloSeconds = ms / 1000.0;
+        w.sloSeconds = ms / 1000.0;
     });
-    p.value("--session-prob", [&](const std::string &v) {
-        cfg.workload.sessionFollowProb = std::stod(v);
-        st.setSession = true;
-    });
-    p.value("--session-think", [&](const std::string &v) {
-        cfg.workload.sessionThinkSeconds = std::stod(v);
-        st.setSession = true;
-    });
-    p.value("--session-turns", [&](const std::string &v) {
-        cfg.workload.sessionMaxTurns = std::stoi(v);
-        st.setSession = true;
-    });
-    p.value("--burst-factor", [&](const std::string &v) {
-        cfg.workload.shape.burstFactor = std::stod(v);
-        st.setBurst = true;
-    });
-    p.value("--burst-every", [&](const std::string &v) {
-        cfg.workload.shape.burstEverySeconds = std::stod(v);
-        st.setBurst = true;
-    });
-    p.value("--burst-seconds", [&](const std::string &v) {
-        cfg.workload.shape.burstSeconds = std::stod(v);
-        st.setBurst = true;
-    });
-    p.value("--trace-out", [&](const std::string &v) {
-        cfg.workload.traceOut = v;
-    });
-    p.value("--trace-in", [&](const std::string &v) {
-        cfg.workload.traceIn = v;
-    });
+    p.number("--session-prob", w.sessionFollowProb, &st.setSession);
+    p.number("--session-think", w.sessionThinkSeconds, &st.setSession);
+    p.number("--session-turns", w.sessionMaxTurns, &st.setSession);
+    p.number("--burst-factor", w.shape.burstFactor, &st.setBurst);
+    p.number("--burst-every", w.shape.burstEverySeconds, &st.setBurst);
+    p.number("--burst-seconds", w.shape.burstSeconds, &st.setBurst);
+    p.value("--trace-out", [&](const std::string &v) { w.traceOut = v; });
+    p.value("--trace-in", [&](const std::string &v) { w.traceIn = v; });
 }
 
 /**
- * Resolve and cross-check the scenario flags. Library-level
- * validation (validateWorkloadConfig) still runs afterwards; this
- * layer catches the purely-CLI contradictions with messages naming
- * the subcommand.
+ * Resolve and cross-check the scenario flags: --workload names, and
+ * the generator flags a --trace-in replay ignores.
  */
 inline void
 validateScenarioFlags(const FlagParser &p, coe::ServingConfig &cfg,
@@ -256,12 +233,8 @@ validateScenarioFlags(const FlagParser &p, coe::ServingConfig &cfg,
                    "' (expected poisson, closed-loop, or mix)");
         }
     }
-    if (st.setTenants) {
-        if (st.setWorkload && st.workloadName != "mix")
-            p.fail("--tenants requires --workload mix");
-        if (cfg.workload.tenants < 1)
-            p.fail("--tenants must be at least 1");
-    }
+    if (st.setTenants && st.setWorkload && st.workloadName != "mix")
+        p.fail("--tenants requires --workload mix");
     if ((st.setTenants || st.setSession) && ast.setClosedLoop)
         p.fail("tenant mixes and sessions are open-loop workloads; "
                "drop --closed-loop");
@@ -282,22 +255,12 @@ validateScenarioFlags(const FlagParser &p, coe::ServingConfig &cfg,
  */
 inline void
 addCoreServingFlags(FlagParser &p, coe::ServingConfig &cfg,
-                    std::string &scheduler_name,
-                    bool *set_experts = nullptr)
+                    std::string &scheduler_name, bool &set_experts)
 {
-    p.value("--experts", [&cfg, set_experts](const std::string &v) {
-        cfg.numExperts = std::stoi(v);
-        if (set_experts)
-            *set_experts = true;
-    });
-    p.value("--batch", [&](const std::string &v) {
-        cfg.batch = std::stoi(v);
-    });
-    p.value("--seed", [&](const std::string &v) {
-        cfg.seed = std::stoull(v);
-    });
-    p.value("--scheduler",
-            [&](const std::string &v) { scheduler_name = v; });
+    p.number("--experts", cfg.numExperts, &set_experts);
+    p.number("--batch", cfg.batch);
+    p.number("--seed", cfg.seed);
+    addSchedulerFlag(p, scheduler_name);
 }
 
 // --------------------------------- spec-decode / expert-zoo group
@@ -326,31 +289,17 @@ addSpecZooFlags(FlagParser &p, coe::ServingConfig &cfg,
                 SpecZooFlagState &st)
 {
     p.flag("--spec-decode", [&]() { cfg.specDecode.enabled = true; });
-    p.value("--spec-gamma", [&](const std::string &v) {
-        cfg.specDecode.gamma = std::stoi(v);
-        st.setGamma = true;
-    });
-    p.value("--spec-accept", [&](const std::string &v) {
-        cfg.specDecode.acceptRate = std::stod(v);
-        st.setAccept = true;
-    });
-    p.value("--spec-draft-ratio", [&](const std::string &v) {
-        cfg.specDecode.draftRatio = std::stod(v);
-        st.setDraftRatio = true;
-    });
+    p.number("--spec-gamma", cfg.specDecode.gamma, &st.setGamma);
+    p.number("--spec-accept", cfg.specDecode.acceptRate, &st.setAccept);
+    p.number("--spec-draft-ratio", cfg.specDecode.draftRatio,
+             &st.setDraftRatio);
     p.value("--zoo-adapters", [&](const std::string &v) {
         cfg.zoo.enabled = true;
-        cfg.numExperts = std::stoi(v);
+        cfg.numExperts = parseInteger<int>(v);
         st.setZooAdapters = true;
     });
-    p.value("--zoo-rank", [&](const std::string &v) {
-        cfg.zoo.rank = std::stoi(v);
-        st.setZooRank = true;
-    });
-    p.value("--zoo-churn", [&](const std::string &v) {
-        cfg.zoo.churnEverySeconds = std::stod(v);
-        st.setZooChurn = true;
-    });
+    p.number("--zoo-rank", cfg.zoo.rank, &st.setZooRank);
+    p.number("--zoo-churn", cfg.zoo.churnEverySeconds, &st.setZooChurn);
 }
 
 /**
@@ -367,94 +316,11 @@ validateSpecZooFlags(const FlagParser &p, const coe::ServingConfig &cfg,
         (st.setGamma || st.setAccept || st.setDraftRatio))
         p.fail("--spec-gamma/--spec-accept/--spec-draft-ratio require "
                "--spec-decode");
-    if (cfg.specDecode.enabled) {
-        if (cfg.specDecode.gamma < 0)
-            p.fail("--spec-gamma must be non-negative");
-        if (cfg.specDecode.acceptRate < 0.0 ||
-            cfg.specDecode.acceptRate > 1.0)
-            p.fail("--spec-accept must be in [0, 1]");
-        if (cfg.specDecode.draftRatio <= 0.0 ||
-            cfg.specDecode.draftRatio >= 1.0)
-            p.fail("--spec-draft-ratio must be in (0, 1)");
-    }
     if (!st.setZooAdapters && (st.setZooRank || st.setZooChurn))
         p.fail("--zoo-rank/--zoo-churn require --zoo-adapters");
-    if (st.setZooAdapters) {
-        if (set_experts)
-            p.fail("--zoo-adapters replaces the expert set; it cannot "
-                   "be combined with --experts");
-        if (cfg.numExperts <= 0)
-            p.fail("--zoo-adapters must be positive");
-        if (cfg.zoo.rank <= 0)
-            p.fail("--zoo-rank must be at least 1");
-        if (cfg.zoo.churnEverySeconds < 0.0)
-            p.fail("--zoo-churn must be non-negative");
-    }
-}
-
-// --------------------------------------------- execution groups
-
-/** Parallel-execution flags (cluster subcommand). */
-struct ExecFlagState
-{
-    int threads = 1;
-    bool setThreads = false;
-};
-
-/**
- * --threads / -j pick the worker count for the run. 1 is the
- * bit-exact single-queue path; N > 1 shards the event queue per node
- * (ClusterConfig::threads).
- */
-inline void
-addExecFlags(FlagParser &p, ExecFlagState &st)
-{
-    auto parse = [&p, &st](const std::string &v) {
-        st.threads = std::stoi(v);
-        if (st.threads < 1)
-            p.fail("--threads must be at least 1");
-        st.setThreads = true;
-    };
-    p.value("--threads", parse);
-    p.value("-j", parse);
-}
-
-/**
- * The cluster --threads flag matrix. Parallel runs compose fine with
- * --controller*, --schedule, and --trace-in (control actuations fire
- * at window barriers); what they cannot do is anything that closes a
- * feedback loop from the node shards back into arrival generation or
- * dispatch mid-window. Those are rejected here with CLI vocabulary;
- * ClusterSimulator re-validates at the config level for non-CLI
- * callers.
- */
-inline void
-validateClusterExecFlags(const FlagParser &p, const ExecFlagState &st,
-                         const coe::ServingConfig &cfg,
-                         coe::DispatchPolicy dispatch,
-                         const ArrivalFlagState &ast,
-                         const ScenarioFlagState &sst)
-{
-    if (st.threads <= 1)
-        return;
-    if (cfg.arrival == coe::ArrivalProcess::ClosedLoop)
-        p.fail("the cluster subcommand cannot combine --threads > 1 "
-               "with closed-loop arrivals (--closed-loop/--workload "
-               "closed-loop): batch completions re-issue clients "
-               "instantly, leaving parallel windows zero lookahead");
-    if (ast.setClients || ast.setThink)
-        p.fail("the cluster subcommand cannot combine --threads > 1 "
-               "with --clients/--think (closed-loop parameters)");
-    if (sst.setSession && cfg.workload.traceIn.empty())
-        p.fail("the cluster subcommand cannot combine --threads > 1 "
-               "with generated --session-* workloads (follow-up turns "
-               "are coupled to node-side completions); record a trace "
-               "and replay it with --trace-in, or use --threads 1");
-    if (dispatch == coe::DispatchPolicy::LeastOutstanding)
-        p.fail("the cluster subcommand cannot combine --threads > 1 "
-               "with --dispatch least-outstanding (per-node queue "
-               "state is stale mid-window); use round-robin or "
-               "expert-affinity");
+    if (st.setZooAdapters && set_experts)
+        p.fail("--zoo-adapters replaces the expert set; it cannot "
+               "be combined with --experts");
 }
 
 // ------------------------------------------ control-plane groups
@@ -477,38 +343,15 @@ addControllerFlags(FlagParser &p, coe::ControllerConfig &cfg,
         cfg.policy = coe::controllerPolicyFromName(v);
         st.setPolicy = true;
     });
-    p.value("--controller-tick", [&](const std::string &v) {
-        cfg.tickSeconds = std::stod(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-min", [&](const std::string &v) {
-        cfg.minNodes = std::stoi(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-max", [&](const std::string &v) {
-        cfg.maxNodes = std::stoi(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-up-depth", [&](const std::string &v) {
-        cfg.scaleUpQueueDepth = std::stod(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-down-depth", [&](const std::string &v) {
-        cfg.scaleDownQueueDepth = std::stod(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-target-util", [&](const std::string &v) {
-        cfg.targetUtilization = std::stod(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-cooldown", [&](const std::string &v) {
-        cfg.cooldownTicks = std::stoi(v);
-        st.setTuning = true;
-    });
-    p.value("--controller-hot", [&](const std::string &v) {
-        cfg.hotExpertTrack = std::stoi(v);
-        st.setTuning = true;
-    });
+    bool *tuned = &st.setTuning;
+    p.number("--controller-tick", cfg.tickSeconds, tuned);
+    p.number("--controller-min", cfg.minNodes, tuned);
+    p.number("--controller-max", cfg.maxNodes, tuned);
+    p.number("--controller-up-depth", cfg.scaleUpQueueDepth, tuned);
+    p.number("--controller-down-depth", cfg.scaleDownQueueDepth, tuned);
+    p.number("--controller-target-util", cfg.targetUtilization, tuned);
+    p.number("--controller-cooldown", cfg.cooldownTicks, tuned);
+    p.number("--controller-hot", cfg.hotExpertTrack, tuned);
     p.value("--controller-log", [&](const std::string &v) {
         cfg.logPath = v;
         st.setTuning = true;
@@ -548,21 +391,21 @@ parseScheduleList(const FlagParser &p, const std::string &csv)
             p.fail("--schedule entry '" + entry +
                    "' is not KIND:AT[:ARG]");
         coe::ScheduledAction a;
-        a.atSeconds = std::stod(parts[1]);
+        a.atSeconds = parseDouble(parts[1]);
         if (parts[0] == "drain") {
             a.kind = coe::ActionKind::Drain;
             if (parts.size() == 3)
-                a.node = std::stoi(parts[2]);
+                a.node = parseInteger<int>(parts[2]);
         } else if (parts[0] == "rejoin") {
             a.kind = coe::ActionKind::Rejoin;
             if (parts.size() == 3)
-                a.node = std::stoi(parts[2]);
+                a.node = parseInteger<int>(parts[2]);
         } else if (parts[0] == "rate") {
             a.kind = coe::ActionKind::RateOverride;
             if (parts.size() != 3)
                 p.fail("--schedule rate entries need a factor: "
                        "rate:AT:FACTOR");
-            a.rateFactor = std::stod(parts[2]);
+            a.rateFactor = parseDouble(parts[2]);
         } else {
             p.fail("--schedule entry '" + entry +
                    "' has unknown kind '" + parts[0] +
@@ -597,43 +440,19 @@ addFabricFlags(FlagParser &p, coe::FabricConfig &cfg,
         cfg.topology = sim::topologyFromName(v);
         cfg.enabled = true;
     });
-    p.value("--link-gbps", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkGbps = std::stod(v);
-        if (!(cfg.linkGbps > 0.0))
-            p.fail("--link-gbps must be positive");
-        st.setLinkGbps = true;
-    });
-    p.value("--link-latency-us", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkLatencyUs = std::stod(v);
-        if (!(cfg.linkLatencyUs >= 0.0))
-            p.fail("--link-latency-us must be a non-negative number");
-        if (!(cfg.linkLatencyUs * 1e-6 < sim::kHorizonSeconds))
-            p.fail("--link-latency-us must be shorter than simulated "
-                   "time can span (" +
-                   util::formatGeneral(sim::kHorizonSeconds * 1e6) +
-                   " us)");
-        st.setLinkLatency = true;
-    });
-    p.value("--link-buffer-flits", [&p, &cfg, &st](const std::string &v) {
-        cfg.linkBufferFlits = std::stoi(v);
-        if (cfg.linkBufferFlits < 1)
-            p.fail("--link-buffer-flits must be at least 1");
-        st.setLinkBuffer = true;
-    });
+    p.number("--link-gbps", cfg.linkGbps, &st.setLinkGbps);
+    p.number("--link-latency-us", cfg.linkLatencyUs, &st.setLinkLatency);
+    p.number("--link-buffer-flits", cfg.linkBufferFlits, &st.setLinkBuffer);
 }
 
 inline void
 validateFabricFlags(const FlagParser &p, const coe::FabricConfig &cfg,
-                    const FabricFlagState &st,
-                    coe::DispatchPolicy dispatch)
+                    const FabricFlagState &st)
 {
     if (!cfg.enabled &&
         (st.setLinkGbps || st.setLinkLatency || st.setLinkBuffer))
         p.fail("--link-* flags tune the interconnect; they require "
                "--topology");
-    if (dispatch == coe::DispatchPolicy::TopologyAware && !cfg.enabled)
-        p.fail("--dispatch topo-aware routes around fabric congestion; "
-               "it requires --topology");
 }
 
 // ------------------------------------------------ chaos groups
@@ -662,48 +481,23 @@ addFaultFlags(FlagParser &p, coe::FaultPolicyConfig &cfg,
         st.faultsPath = v;
         st.setFaults = true;
     });
-    p.value("--retry-max", [&](const std::string &v) {
-        cfg.retryMax = std::stoi(v);
+    p.number("--retry-max", cfg.retryMax, &st.setRetry);
+    p.value("--retry-backoff-ms", [&](const std::string &v) {
+        cfg.retryBackoffSeconds = parseDouble(v) / 1000.0;
         st.setRetry = true;
     });
-    p.value("--retry-backoff-ms", [&p, &cfg, &st](const std::string &v) {
-        double ms = std::stod(v);
-        if (ms <= 0.0)
-            p.fail("--retry-backoff-ms must be positive");
-        cfg.retryBackoffSeconds = ms / 1000.0;
-        st.setRetry = true;
-    });
-    p.value("--retry-budget", [&](const std::string &v) {
-        cfg.retryBudget = std::stoll(v);
-        st.setRetry = true;
-    });
+    p.number("--retry-budget", cfg.retryBudget, &st.setRetry);
     p.flag("--hedge", [&]() { cfg.hedge = true; });
-    p.value("--hedge-threshold", [&](const std::string &v) {
-        cfg.hedgeThreshold = std::stod(v);
-        st.setHedgeThreshold = true;
-    });
-    p.value("--brownout-depth", [&](const std::string &v) {
-        cfg.brownoutDepth = std::stod(v);
-    });
-    p.value("--brownout-prio", [&](const std::string &v) {
-        cfg.brownoutPriorityMax = std::stoi(v);
-        st.setBrownoutPrio = true;
-    });
-    p.value("--policy-tick-ms", [&p, &cfg, &st](const std::string &v) {
-        double ms = std::stod(v);
-        if (ms <= 0.0)
-            p.fail("--policy-tick-ms must be positive");
-        cfg.policyTickSeconds = ms / 1000.0;
+    p.number("--hedge-threshold", cfg.hedgeThreshold, &st.setHedgeThreshold);
+    p.number("--brownout-depth", cfg.brownoutDepth);
+    p.number("--brownout-prio", cfg.brownoutPriorityMax, &st.setBrownoutPrio);
+    p.value("--policy-tick-ms", [&](const std::string &v) {
+        cfg.policyTickSeconds = parseDouble(v) / 1000.0;
         st.setPolicyTick = true;
     });
 }
 
-/**
- * Cross-check the chaos flags. Library-level validation
- * (validateFaultPolicy / validateFaultSchedule) still runs inside
- * ClusterSimulator; this layer catches the purely-CLI contradictions
- * with flag vocabulary.
- */
+/** Cross-check which chaos flags were given together. */
 inline void
 validateFaultFlags(const FlagParser &p,
                    const coe::FaultPolicyConfig &cfg,
@@ -713,24 +507,14 @@ validateFaultFlags(const FlagParser &p,
     if (st.setRetry && !st.setFaults)
         p.fail("--retry-* flags configure recovery from injected "
                "faults; they require --faults FILE");
-    if (cfg.retryMax < 0)
-        p.fail("--retry-max must be non-negative");
-    if (cfg.retryBudget < -1)
-        p.fail("--retry-budget must be -1 (unbounded) or non-negative");
     if (st.setHedgeThreshold && !cfg.hedge)
         p.fail("--hedge-threshold requires --hedge");
-    if (cfg.hedge && cfg.hedgeThreshold <= 0.0)
-        p.fail("--hedge-threshold must be positive");
     if (cfg.hedge && serving.workload.sloSeconds <= 0.0 &&
         serving.workload.traceIn.empty())
         p.fail("--hedge fires on SLO pressure; it needs --slo-ms or a "
                "replayed trace carrying deadlines (--trace-in)");
     if (st.setBrownoutPrio && cfg.brownoutDepth <= 0.0)
         p.fail("--brownout-prio requires --brownout-depth");
-    if (cfg.brownoutDepth < 0.0)
-        p.fail("--brownout-depth must be non-negative");
-    if (cfg.brownoutPriorityMax < 0)
-        p.fail("--brownout-prio must be non-negative");
     if (st.setPolicyTick && !cfg.hedge && cfg.brownoutDepth <= 0.0)
         p.fail("--policy-tick-ms paces hedging and brown-out; it "
                "requires --hedge or --brownout-depth");
@@ -752,20 +536,12 @@ inline void
 addPlanFlags(FlagParser &p, PlanFlagState &st)
 {
     p.flag("--plan-capacity", [&]() { st.plan = true; });
-    p.value("--plan-max-nodes", [&](const std::string &v) {
-        st.maxNodes = std::stoi(v);
-        st.setMaxNodes = true;
-    });
-    p.value("--plan-p95-ms", [&](const std::string &v) {
-        st.p95Ms = std::stod(v);
-        st.setP95 = true;
-    });
-    p.value("--plan-max-shed-pct", [&](const std::string &v) {
-        st.maxShedPct = std::stod(v);
-        st.setShed = true;
-    });
+    p.number("--plan-max-nodes", st.maxNodes, &st.setMaxNodes);
+    p.number("--plan-p95-ms", st.p95Ms, &st.setP95);
+    p.number("--plan-max-shed-pct", st.maxShedPct, &st.setShed);
 }
 
+/** The planner's targets are CLI-only; no library config holds them. */
 inline void
 validatePlanFlags(const FlagParser &p, const PlanFlagState &st)
 {
@@ -773,12 +549,364 @@ validatePlanFlags(const FlagParser &p, const PlanFlagState &st)
         p.fail("--plan-* flags require --plan-capacity");
     if (!st.plan)
         return;
-    if (!st.setP95 || st.p95Ms <= 0.0)
-        p.fail("--plan-capacity needs a positive --plan-p95-ms target");
+    if (!st.setP95 || !(st.p95Ms > 0.0 && std::isfinite(st.p95Ms)))
+        p.fail("--plan-capacity needs a positive finite --plan-p95-ms "
+               "target");
     if (st.setMaxNodes && st.maxNodes < 1)
         p.fail("--plan-max-nodes must be at least 1");
-    if (st.maxShedPct < 0.0 || st.maxShedPct > 100.0)
+    if (!(st.maxShedPct >= 0.0 && st.maxShedPct <= 100.0))
         p.fail("--plan-max-shed-pct must be in [0, 100]");
+}
+
+// ---------------------------------------------- subcommand parsers
+
+/** A parsed and validated `serve` command line. */
+struct ServeArgs
+{
+    coe::ServingConfig cfg;
+    std::vector<coe::SchedulerPolicy> policies;
+};
+
+/**
+ * Parse @p args (the flags after `serve`) through @p p, run the CLI
+ * checks and then coe::validateServingConfig. Throws FlagUsageError.
+ * @return nullopt when --help was printed to @p help_out.
+ */
+inline std::optional<ServeArgs>
+parseServeArgs(FlagParser &p, const std::vector<std::string> &args,
+               std::ostream &help_out)
+{
+    ServeArgs out;
+    coe::ServingConfig &cfg = out.cfg;
+    cfg.mode = coe::ServingMode::EventDriven;
+    cfg.batch = 8;
+    std::string scheduler_name = "both";
+    WorkloadFlagState wst;
+    ArrivalFlagState ast;
+    ScenarioFlagState sst;
+    SpecZooFlagState szst;
+    bool set_experts = false;
+    addWorkloadFlags(p, cfg, wst);
+    addArrivalFlags(p, cfg, ast);
+    addScenarioFlags(p, cfg, sst);
+    addCoreServingFlags(p, cfg, scheduler_name, set_experts);
+    addSpecZooFlags(p, cfg, szst);
+
+    if (p.parse(args, help_out))
+        return std::nullopt;
+    validateWorkloadFlags(p, cfg, wst);
+    validateArrivalFlags(p, cfg, ast);
+    validateScenarioFlags(p, cfg, sst, ast);
+    validateSpecZooFlags(p, cfg, szst, set_experts);
+    if (scheduler_name == "both") {
+        // Sessions and SLO shedding feed completions back into the
+        // arrival stream, so the two schedulers emit different
+        // traffic — recording "both" would silently keep only the
+        // last run's trace.
+        if (!cfg.workload.traceOut.empty())
+            p.fail("--trace-out records one run; pick a single "
+                   "--scheduler (fifo or affinity)");
+        out.policies = {coe::SchedulerPolicy::Fifo,
+                        coe::SchedulerPolicy::ExpertAffinity};
+    } else {
+        out.policies = {coe::schedulerPolicyFromName(scheduler_name)};
+    }
+    p.validate([&] { coe::validateServingConfig(cfg); });
+    return out;
+}
+
+/** A parsed and validated `sweep` command line. */
+struct SweepArgs
+{
+    coe::SweepGrid grid;
+    int jobs = 1;
+    std::string jsonPath;
+};
+
+/**
+ * Parse @p args (the flags after `sweep`), run the CLI checks, load
+ * the shared fault schedule and trace, and validate every grid
+ * point's serving config. @return nullopt when --help was printed.
+ */
+inline std::optional<SweepArgs>
+parseSweepArgs(FlagParser &p, const std::vector<std::string> &args,
+               std::ostream &help_out)
+{
+    SweepArgs out;
+    coe::SweepGrid &grid = out.grid;
+    grid.base.mode = coe::ServingMode::EventDriven;
+    grid.base.batch = 8;
+    grid.base.arrivalRatePerSec = 8.0;
+    out.jobs = std::max(1, static_cast<int>(
+                               std::thread::hardware_concurrency()));
+    std::string scheduler_name = "both";
+
+    WorkloadFlagState wst;
+    ScenarioFlagState sst;
+    FaultFlagState fst;
+    SpecZooFlagState szst;
+    addWorkloadFlags(p, grid.base, wst);
+    addScenarioFlags(p, grid.base, sst);
+    addFaultFlags(p, grid.faultPolicy, fst);
+    addSpecZooFlags(p, grid.base, szst);
+    bool set_placement = false, set_dispatch = false;
+    p.value("--experts", [&](const std::string &v) {
+        grid.expertCounts = parseList<int>(p, v, &parseInteger<int>);
+    });
+    p.value("--arrival-rate", [&](const std::string &v) {
+        grid.arrivalRates = parseList<double>(p, v, &parseDouble);
+    });
+    p.value("--batch", [&](const std::string &v) {
+        grid.batchSizes = parseList<int>(p, v, &parseInteger<int>);
+    });
+    p.value("--seeds", [&](const std::string &v) {
+        grid.seeds =
+            parseList<std::uint64_t>(p, v, &parseInteger<std::uint64_t>);
+    });
+    p.value("--nodes", [&](const std::string &v) {
+        grid.nodeCounts = parseList<int>(p, v, &parseInteger<int>);
+    });
+    p.value("--placement", [&](const std::string &v) {
+        grid.placements = parseList<coe::PlacementPolicy>(
+            p, v, &coe::placementPolicyFromName);
+        set_placement = true;
+    });
+    p.value("--dispatch", [&](const std::string &v) {
+        grid.dispatch = coe::dispatchPolicyFromName(v);
+        set_dispatch = true;
+    });
+    addSchedulerFlag(p, scheduler_name);
+    p.number("-j", out.jobs);
+    p.number("--jobs", out.jobs);
+    p.value("--json", [&](const std::string &v) { out.jsonPath = v; });
+
+    if (p.parse(args, help_out))
+        return std::nullopt;
+    validateWorkloadFlags(p, grid.base, wst);
+    // sweep has no --closed-loop/--arrival-rate scalar flags (the
+    // rate is a grid axis), so the shared arrival-state checks get a
+    // default state; the axis-specific conflicts are checked below.
+    validateScenarioFlags(p, grid.base, sst, ArrivalFlagState{});
+    // sweep's --experts is a grid axis: a non-empty axis list plays
+    // the scalar flag's role in the --zoo-adapters conflict check.
+    validateSpecZooFlags(p, grid.base, szst, !grid.expertCounts.empty());
+    validateFaultFlags(p, grid.faultPolicy, fst, grid.base);
+    if ((fst.setFaults || grid.faultPolicy.anyEnabled()) &&
+        grid.nodeCounts.empty())
+        p.fail("--faults and the degraded-mode flags act on the "
+               "cluster dispatch layer; they require --nodes");
+    if (fst.setFaults) {
+        // Parse once; every grid point (and worker thread) replays the
+        // same immutable schedule, mirroring the --trace-in pattern.
+        grid.faults = std::make_shared<const std::vector<coe::FaultEvent>>(
+            coe::loadFaultSchedule(fst.faultsPath));
+    }
+    if (!grid.base.workload.traceOut.empty())
+        p.fail("--trace-out is ambiguous across sweep points; "
+               "record a trace with `serve` or `cluster` and "
+               "replay it here with --trace-in");
+    if (!grid.base.workload.traceIn.empty() && !grid.arrivalRates.empty())
+        p.fail("--trace-in fixes the arrival stream; an "
+               "--arrival-rate axis does not apply");
+    if ((set_placement || set_dispatch) && grid.nodeCounts.empty())
+        p.fail("--placement/--dispatch require --nodes");
+    if (out.jobs <= 0)
+        p.fail("--jobs must be at least 1");
+    if (!grid.base.workload.traceIn.empty()) {
+        // Parse the trace once here; every grid point (and worker
+        // thread) shares the immutable entries instead of re-reading
+        // the file per point.
+        grid.base.workload.traceEntries =
+            std::make_shared<const std::vector<coe::TraceEntry>>(
+                coe::loadTrace(grid.base.workload.traceIn));
+    }
+    if (scheduler_name == "both")
+        grid.policies = {coe::SchedulerPolicy::Fifo,
+                         coe::SchedulerPolicy::ExpertAffinity};
+    else
+        grid.policies = {coe::schedulerPolicyFromName(scheduler_name)};
+    p.validate([&] {
+        for (const coe::SweepPoint &point : grid.points())
+            coe::validateServingConfig(point.cfg);
+        coe::validateFaultPolicy(grid.faultPolicy);
+    });
+    return out;
+}
+
+/** A parsed and validated `cluster` command line. */
+struct ClusterArgs
+{
+    coe::ClusterConfig cfg;
+    PlanFlagState plan;
+    std::string jsonPath;
+};
+
+/**
+ * Parse @p args (the flags after `cluster`), run the CLI checks, load
+ * the fault schedule, and run coe::validateClusterConfig. Throws
+ * FlagUsageError. @return nullopt when --help was printed.
+ */
+inline std::optional<ClusterArgs>
+parseClusterArgs(FlagParser &p, const std::vector<std::string> &args,
+                 std::ostream &help_out)
+{
+    ClusterArgs out;
+    coe::ClusterConfig &cfg = out.cfg;
+    PlanFlagState &plan = out.plan;
+    cfg.nodes = 4;
+    cfg.placement = coe::PlacementPolicy::ReplicateHotPartitionCold;
+    cfg.dispatch = coe::DispatchPolicy::LeastOutstanding;
+    cfg.node.mode = coe::ServingMode::EventDriven;
+    cfg.node.batch = 8;
+    std::string scheduler_name = "affinity";
+
+    WorkloadFlagState wst;
+    ArrivalFlagState ast;
+    ScenarioFlagState sst;
+    ControllerFlagState cst;
+    FaultFlagState fst;
+    FabricFlagState fab;
+    SpecZooFlagState szst;
+    bool set_experts = false;
+    addWorkloadFlags(p, cfg.node, wst);
+    addArrivalFlags(p, cfg.node, ast);
+    addScenarioFlags(p, cfg.node, sst);
+    addCoreServingFlags(p, cfg.node, scheduler_name, set_experts);
+    addSpecZooFlags(p, cfg.node, szst);
+    addControllerFlags(p, cfg.controller, cst);
+    addPlanFlags(p, plan);
+    addFaultFlags(p, cfg.faultPolicy, fst);
+    addFabricFlags(p, cfg.fabric, fab);
+
+    bool set_hot = false, set_drain_at = false, set_drain_node = false;
+    bool set_rejoin = false, set_diurnal_amp = false;
+    bool set_diurnal_period = false;
+    std::vector<int> node_dma;
+    std::vector<double> node_region_gb;
+    // -j N / --threads N: 1 is the bit-exact single-queue path; N > 1
+    // shards the event queue per node (ClusterConfig::threads).
+    p.number("--threads", cfg.threads);
+    p.number("-j", cfg.threads);
+    p.number("--nodes", cfg.nodes);
+    p.value("--placement", [&](const std::string &v) {
+        cfg.placement = coe::placementPolicyFromName(v);
+    });
+    p.value("--dispatch", [&](const std::string &v) {
+        cfg.dispatch = coe::dispatchPolicyFromName(v);
+    });
+    p.number("--hot-experts", cfg.hotExperts, &set_hot);
+    p.number("--drain-at", cfg.drainAtSeconds, &set_drain_at);
+    p.number("--drain-node", cfg.drainNode, &set_drain_node);
+    p.number("--rejoin-at", cfg.rejoinAtSeconds, &set_rejoin);
+    p.value("--schedule", [&](const std::string &v) {
+        cfg.actions = parseScheduleList(p, v);
+    });
+    p.number("--diurnal-amplitude", cfg.diurnalAmplitude, &set_diurnal_amp);
+    p.number("--diurnal-period", cfg.diurnalPeriodSeconds,
+             &set_diurnal_period);
+    p.value("--node-dma-engines", [&](const std::string &v) {
+        node_dma = parseList<int>(p, v, &parseInteger<int>);
+    });
+    p.value("--node-region-gb", [&](const std::string &v) {
+        node_region_gb = parseList<double>(p, v, &parseDouble);
+    });
+    p.value("--json", [&](const std::string &v) { out.jsonPath = v; });
+
+    if (p.parse(args, help_out))
+        return std::nullopt;
+    validateWorkloadFlags(p, cfg.node, wst);
+    validateArrivalFlags(p, cfg.node, ast);
+    validateScenarioFlags(p, cfg.node, sst, ast);
+    validateSpecZooFlags(p, cfg.node, szst, set_experts);
+    validateControllerFlags(p, cfg.controller, cst);
+    validatePlanFlags(p, plan);
+    validateFaultFlags(p, cfg.faultPolicy, fst, cfg.node);
+    validateFabricFlags(p, cfg.fabric, fab);
+    // The library rejects -j N with session generation only when a
+    // follow-up probability is set; any --session-* flag asks for it.
+    if (cfg.threads > 1 && sst.setSession)
+        p.fail("the cluster subcommand cannot combine --threads > 1 "
+               "with generated --session-* workloads (follow-up turns "
+               "are coupled to node-side completions); record a trace "
+               "and replay it with --trace-in, or use --threads 1");
+    // The diurnal ramp shapes the arrival generator, which a replay
+    // bypasses entirely — reject it like the other generator flags
+    // instead of silently replaying the flat recorded stream.
+    if (!cfg.node.workload.traceIn.empty() &&
+        (set_diurnal_amp || set_diurnal_period))
+        p.fail("--trace-in replays a recorded request stream; "
+               "--diurnal-amplitude/--diurnal-period do not apply");
+    if (scheduler_name == "both")
+        p.fail("--scheduler both compares two runs; the cluster runs "
+               "one scheduler, pick fifo or affinity");
+    cfg.node.scheduler = coe::schedulerPolicyFromName(scheduler_name);
+    if (set_hot &&
+        cfg.placement != coe::PlacementPolicy::ReplicateHotPartitionCold)
+        p.fail("--hot-experts requires --placement replicate-hot");
+    // The library reads a 0 drain time as "no drain".
+    if (set_drain_at && !(cfg.drainAtSeconds > 0.0))
+        p.fail("--drain-at must be positive (the drain fires mid-run)");
+    if ((set_drain_node || set_rejoin) && !set_drain_at)
+        p.fail("--drain-node/--rejoin-at require --drain-at");
+    if (set_diurnal_period && !set_diurnal_amp)
+        p.fail("--diurnal-period requires --diurnal-amplitude");
+    if (!node_dma.empty() && static_cast<int>(node_dma.size()) != cfg.nodes)
+        p.fail("--node-dma-engines needs exactly --nodes entries");
+    if (!node_region_gb.empty() &&
+        static_cast<int>(node_region_gb.size()) != cfg.nodes)
+        p.fail("--node-region-gb needs exactly --nodes entries");
+    for (std::size_t n = 0;
+         n < std::max(node_dma.size(), node_region_gb.size()); ++n) {
+        coe::ClusterNodeOverride o;
+        o.node = static_cast<int>(n);
+        if (!node_dma.empty())
+            o.dmaEngines = node_dma[n];
+        if (!node_region_gb.empty())
+            o.expertRegionBytes =
+                gbToBytes(p, "--node-region-gb", node_region_gb[n]);
+        if (o.dmaEngines != 0 || o.expertRegionBytes > 0)
+            cfg.overrides.push_back(o);
+    }
+    // Without --arrival-rate the open-loop default scales with the
+    // cluster size.
+    if (!ast.setArrivalRate &&
+        cfg.node.arrival == coe::ArrivalProcess::Poisson)
+        cfg.node.arrivalRatePerSec = 8.0 * cfg.nodes;
+    if (fst.setFaults) {
+        // Parse (and strictly validate) once; validateClusterConfig
+        // re-checks the schedule against the final node count.
+        cfg.faults = std::make_shared<const std::vector<coe::FaultEvent>>(
+            coe::loadFaultSchedule(fst.faultsPath));
+    }
+    if (plan.plan) {
+        if (!out.jsonPath.empty())
+            p.fail("--json reports a single cluster run; it does not "
+                   "combine with --plan-capacity");
+        if (fst.setFaults || cfg.faultPolicy.anyEnabled())
+            p.fail("--plan-capacity sizes clean static clusters; drop "
+                   "--faults and the degraded-mode flags");
+        if (cfg.node.arrival == coe::ArrivalProcess::ClosedLoop)
+            p.fail("--plan-capacity sizes for offered load; closed-loop "
+                   "demand self-paces, drop --closed-loop");
+        if (!ast.setArrivalRate && cfg.node.workload.traceIn.empty())
+            p.fail("--plan-capacity needs the demand pinned: give an "
+                   "explicit --arrival-rate or a --trace-in trace "
+                   "(the default rate scales with the node count)");
+        if (!cfg.overrides.empty())
+            p.fail("--plan-capacity varies the node count; per-node "
+                   "override lists do not apply");
+        if (cfg.drainAtSeconds > 0.0 || !cfg.actions.empty())
+            p.fail("--plan-capacity runs clean static clusters; drop "
+                   "--drain-at/--schedule");
+        if (cfg.controller.policy != coe::ControllerPolicy::Static)
+            p.fail("--plan-capacity provisions statically; drop "
+                   "--controller");
+        if (!cfg.node.workload.traceOut.empty())
+            p.fail("--plan-capacity runs the demand several times; "
+                   "--trace-out is ambiguous");
+    }
+    p.validate([&] { coe::validateClusterConfig(cfg); });
+    return out;
 }
 
 } // namespace sn40l::tools

@@ -15,12 +15,19 @@
 #ifndef SN40L_TOOLS_FLAG_PARSER_H
 #define SN40L_TOOLS_FLAG_PARSER_H
 
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cstdlib>
 #include <functional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "sim/log.h"
 
 namespace sn40l::tools {
 
@@ -44,6 +51,67 @@ class FlagUsageError : public std::runtime_error
 };
 
 /**
+ * A flag value that is not a number of the expected kind; what() reads
+ * "'<value>' is not a valid ...". FlagParser::parse prefixes the flag.
+ */
+class BadNumber : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
+/**
+ * Strict integer conversion: the whole string must be one integer that
+ * fits @p Int, so "1e3" and "12abc" fail instead of reading 1 and 12
+ * (std::stoi's prefix parse). A leading '+' is accepted.
+ */
+template <typename Int>
+Int
+parseInteger(const std::string &s)
+{
+    static_assert(std::is_integral_v<Int>);
+    const char *first = s.data();
+    const char *last = first + s.size();
+    if (s.size() > 1 && s[0] == '+' && s[1] != '-')
+        ++first;
+    Int value{};
+    auto [end, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range)
+        throw BadNumber("'" + s + "' is not a valid integer (out of range)");
+    if (ec != std::errc() || end != last)
+        throw BadNumber("'" + s + "' is not a valid integer");
+    return value;
+}
+
+/**
+ * Strict floating-point conversion: the whole string must be one number
+ * as std::strtod reads it ("1e3", "nan" and "inf" parse; the library
+ * validators own the range rules). Overflow and underflow fail.
+ */
+inline double
+parseDouble(const std::string &s)
+{
+    char *end = nullptr;
+    errno = 0;
+    double value = std::strtod(s.c_str(), &end);
+    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+        end != s.c_str() + s.size())
+        throw BadNumber("'" + s + "' is not a valid number");
+    if (errno == ERANGE)
+        throw BadNumber("'" + s + "' is not a valid number (out of range)");
+    return value;
+}
+
+/** A FatalError's message without the "fatal: " prefix sim::fatal adds. */
+inline std::string
+fatalMessage(const sim::FatalError &e)
+{
+    std::string msg = e.what();
+    const std::string prefix = "fatal: ";
+    return msg.rfind(prefix, 0) == 0 ? msg.substr(prefix.size()) : msg;
+}
+
+/**
  * Flatten "--flag=value" arguments into "--flag value" so both
  * spellings parse through the same loop.
  */
@@ -62,15 +130,6 @@ splitEqualsArgs(const std::vector<std::string> &args)
         }
     }
     return out;
-}
-
-inline std::vector<std::string>
-splitEqualsArgs(int argc, char **argv, int first)
-{
-    std::vector<std::string> raw;
-    for (int i = first; i < argc; ++i)
-        raw.emplace_back(argv[i]);
-    return splitEqualsArgs(raw);
 }
 
 class FlagParser
@@ -98,6 +157,24 @@ class FlagParser
         addSpec(name, true, std::move(apply));
     }
 
+    /**
+     * Register a numeric flag that stores its strictly converted value
+     * in @p target and, when given, sets @p seen.
+     */
+    template <typename T>
+    void
+    number(const char *name, T &target, bool *seen = nullptr)
+    {
+        value(name, [&target, seen](const std::string &v) {
+            if constexpr (std::is_integral_v<T>)
+                target = parseInteger<T>(v);
+            else
+                target = parseDouble(v);
+            if (seen)
+                *seen = true;
+        });
+    }
+
     /** Shared failure path for parse and cross-flag validation. */
     [[noreturn]] void
     fail(const std::string &msg) const
@@ -106,9 +183,26 @@ class FlagParser
     }
 
     /**
+     * Run a library validator. Its sim::FatalError becomes a usage
+     * error, so a config rule fails like a flag error: the --help hint
+     * and exit status 1.
+     */
+    template <typename Validate>
+    void
+    validate(Validate &&check) const
+    {
+        try {
+            check();
+        } catch (const sim::FatalError &e) {
+            fail(fatalMessage(e));
+        }
+    }
+
+    /**
      * Parse an argument list; "--flag=value" and "--flag value" both
-     * work. @return true if --help was printed (caller should
-     * return 0).
+     * work, and a value the flag cannot convert (or an unknown name a
+     * library lookup rejects) fails naming the flag.
+     * @return true if --help was printed (caller should return 0).
      */
     bool
     parse(const std::vector<std::string> &raw_args,
@@ -139,22 +233,18 @@ class FlagParser
             if (spec->takesValue) {
                 if (i + 1 >= args.size())
                     fail("flag " + arg + " expects a value");
-                spec->apply(args[++i]);
+                try {
+                    spec->apply(args[++i]);
+                } catch (const BadNumber &e) {
+                    fail("flag " + arg + ": " + e.what());
+                } catch (const sim::FatalError &e) {
+                    fail("flag " + arg + ": " + fatalMessage(e));
+                }
             } else {
                 spec->apply(std::string());
             }
         }
         return false;
-    }
-
-    /** Parse raw argv starting at index 2 (after the subcommand). */
-    bool
-    parse(int argc, char **argv, std::ostream &help_out)
-    {
-        std::vector<std::string> raw;
-        for (int i = 2; i < argc; ++i)
-            raw.emplace_back(argv[i]);
-        return parse(raw, help_out);
     }
 
     const char *subcommand() const { return subcommand_; }

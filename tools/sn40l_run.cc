@@ -28,12 +28,11 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
-#include <thread>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "coe/cluster.h"
@@ -414,47 +413,22 @@ usage()
 
 // ---------------------------------------------------------- serve
 
+/** The flags after the subcommand name. */
+std::vector<std::string>
+subcommandArgs(int argc, char **argv)
+{
+    return std::vector<std::string>(argv + 2, argv + argc);
+}
+
 int
 runServe(int argc, char **argv)
 {
-    coe::ServingConfig cfg;
-    cfg.mode = coe::ServingMode::EventDriven;
-    cfg.batch = 8;
-    std::string scheduler_name = "both";
-
     FlagParser parser("serve", serveHelp);
-    WorkloadFlagState wst;
-    ArrivalFlagState ast;
-    ScenarioFlagState sst;
-    SpecZooFlagState szst;
-    bool set_experts = false;
-    addWorkloadFlags(parser, cfg, wst);
-    addArrivalFlags(parser, cfg, ast);
-    addScenarioFlags(parser, cfg, sst);
-    addCoreServingFlags(parser, cfg, scheduler_name, &set_experts);
-    addSpecZooFlags(parser, cfg, szst);
-
-    if (parser.parse(argc, argv, std::cout))
+    std::optional<ServeArgs> args =
+        parseServeArgs(parser, subcommandArgs(argc, argv), std::cout);
+    if (!args)
         return 0;
-    validateWorkloadFlags(parser, cfg, wst);
-    validateArrivalFlags(parser, cfg, ast);
-    validateScenarioFlags(parser, cfg, sst, ast);
-    validateSpecZooFlags(parser, cfg, szst, set_experts);
-
-    std::vector<coe::SchedulerPolicy> policies;
-    if (scheduler_name == "both") {
-        // Sessions and SLO shedding feed completions back into the
-        // arrival stream, so the two schedulers emit different
-        // traffic — recording "both" would silently keep only the
-        // last run's trace.
-        if (!cfg.workload.traceOut.empty())
-            parser.fail("--trace-out records one run; pick a single "
-                        "--scheduler (fifo or affinity)");
-        policies = {coe::SchedulerPolicy::Fifo,
-                    coe::SchedulerPolicy::ExpertAffinity};
-    } else {
-        policies = {coe::schedulerPolicyFromName(scheduler_name)};
-    }
+    coe::ServingConfig &cfg = args->cfg;
 
     std::cout << "CoE request stream on " << coe::platformName(cfg.platform)
               << ": " << cfg.numExperts << " experts, "
@@ -476,7 +450,7 @@ runServe(int argc, char **argv)
     std::vector<std::string> prefetch_lines;
     std::vector<std::string> shed_lines;
     std::vector<std::string> spec_lines;
-    for (coe::SchedulerPolicy policy : policies) {
+    for (coe::SchedulerPolicy policy : args->policies) {
         cfg.scheduler = policy;
         coe::ServingSimulator sim(cfg);
         coe::ServingResult r = sim.run();
@@ -550,114 +524,13 @@ runServe(int argc, char **argv)
 int
 runSweepCmd(int argc, char **argv)
 {
-    coe::SweepGrid grid;
-    grid.base.mode = coe::ServingMode::EventDriven;
-    grid.base.batch = 8;
-    grid.base.arrivalRatePerSec = 8.0;
-    std::string scheduler_name = "both";
-    std::string json_path;
-    int jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs <= 0)
-        jobs = 1;
-
     FlagParser parser("sweep", sweepHelp);
-    WorkloadFlagState wst;
-    ScenarioFlagState sst;
-    FaultFlagState fst;
-    SpecZooFlagState szst;
-    addWorkloadFlags(parser, grid.base, wst);
-    addScenarioFlags(parser, grid.base, sst);
-    addFaultFlags(parser, grid.faultPolicy, fst);
-    addSpecZooFlags(parser, grid.base, szst);
-    bool set_placement = false, set_dispatch = false;
-    parser.value("--experts", [&](const std::string &v) {
-        grid.expertCounts = parseList<int>(
-            parser, v, +[](const std::string &s) { return std::stoi(s); });
-    });
-    parser.value("--arrival-rate", [&](const std::string &v) {
-        grid.arrivalRates = parseList<double>(
-            parser, v, +[](const std::string &s) { return std::stod(s); });
-    });
-    parser.value("--batch", [&](const std::string &v) {
-        grid.batchSizes = parseList<int>(
-            parser, v, +[](const std::string &s) { return std::stoi(s); });
-    });
-    parser.value("--seeds", [&](const std::string &v) {
-        grid.seeds = parseList<std::uint64_t>(
-            parser, v, +[](const std::string &s) {
-                return static_cast<std::uint64_t>(std::stoull(s));
-            });
-    });
-    parser.value("--nodes", [&](const std::string &v) {
-        grid.nodeCounts = parseList<int>(
-            parser, v, +[](const std::string &s) { return std::stoi(s); });
-    });
-    parser.value("--placement", [&](const std::string &v) {
-        grid.placements = parseList<coe::PlacementPolicy>(
-            parser, v, &coe::placementPolicyFromName);
-        set_placement = true;
-    });
-    parser.value("--dispatch", [&](const std::string &v) {
-        grid.dispatch = coe::dispatchPolicyFromName(v);
-        set_dispatch = true;
-    });
-    parser.value("--scheduler",
-                 [&](const std::string &v) { scheduler_name = v; });
-    parser.value("-j", [&](const std::string &v) { jobs = std::stoi(v); });
-    parser.value("--jobs",
-                 [&](const std::string &v) { jobs = std::stoi(v); });
-    parser.value("--json", [&](const std::string &v) { json_path = v; });
-
-    if (parser.parse(argc, argv, std::cout))
+    std::optional<SweepArgs> args =
+        parseSweepArgs(parser, subcommandArgs(argc, argv), std::cout);
+    if (!args)
         return 0;
-    validateWorkloadFlags(parser, grid.base, wst);
-    // sweep has no --closed-loop/--arrival-rate scalar flags (the
-    // rate is a grid axis), so the shared arrival-state checks get a
-    // default state; the axis-specific conflicts are checked below.
-    validateScenarioFlags(parser, grid.base, sst, ArrivalFlagState{});
-    // sweep's --experts is a grid axis: a non-empty axis list plays
-    // the scalar flag's role in the --zoo-adapters conflict check.
-    validateSpecZooFlags(parser, grid.base, szst,
-                         !grid.expertCounts.empty());
-    validateFaultFlags(parser, grid.faultPolicy, fst, grid.base);
-    if ((fst.setFaults || grid.faultPolicy.anyEnabled()) &&
-        grid.nodeCounts.empty())
-        parser.fail("--faults and the degraded-mode flags act on the "
-                    "cluster dispatch layer; they require --nodes");
-    if (fst.setFaults) {
-        // Parse once; every grid point (and worker thread) replays the
-        // same immutable schedule, mirroring the --trace-in pattern.
-        grid.faults =
-            std::make_shared<const std::vector<coe::FaultEvent>>(
-                coe::loadFaultSchedule(fst.faultsPath));
-    }
-    if (!grid.base.workload.traceOut.empty())
-        parser.fail("--trace-out is ambiguous across sweep points; "
-                    "record a trace with `serve` or `cluster` and "
-                    "replay it here with --trace-in");
-    if (!grid.base.workload.traceIn.empty() &&
-        !grid.arrivalRates.empty())
-        parser.fail("--trace-in fixes the arrival stream; an "
-                    "--arrival-rate axis does not apply");
-    if ((set_placement || set_dispatch) && grid.nodeCounts.empty())
-        parser.fail("--placement/--dispatch require --nodes");
-    if (jobs <= 0)
-        parser.fail("--jobs must be at least 1");
-    if (!grid.base.workload.traceIn.empty()) {
-        // Parse the trace once here; every grid point (and worker
-        // thread) shares the immutable entries instead of re-reading
-        // the file per point.
-        grid.base.workload.traceEntries =
-            std::make_shared<const std::vector<coe::TraceEntry>>(
-                coe::loadTrace(grid.base.workload.traceIn));
-    }
-
-    if (scheduler_name == "both") {
-        grid.policies = {coe::SchedulerPolicy::Fifo,
-                         coe::SchedulerPolicy::ExpertAffinity};
-    } else {
-        grid.policies = {coe::schedulerPolicyFromName(scheduler_name)};
-    }
+    const coe::SweepGrid &grid = args->grid;
+    const int jobs = args->jobs;
 
     std::vector<coe::SweepPoint> points = grid.points();
     std::cout << "CoE sweep on " << coe::platformName(grid.base.platform)
@@ -733,12 +606,12 @@ runSweepCmd(int argc, char **argv)
                      0)
               << " events/s across " << jobs << " threads)\n";
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
+    if (!args->jsonPath.empty()) {
+        std::ofstream out(args->jsonPath);
         if (!out)
-            parser.fail("cannot write " + json_path);
+            parser.fail("cannot write " + args->jsonPath);
         coe::writeSweepJson(out, results, jobs, wall);
-        std::cout << "wrote " << json_path << "\n";
+        std::cout << "wrote " << args->jsonPath << "\n";
     }
     return 0;
 }
@@ -751,30 +624,8 @@ runSweepCmd(int argc, char **argv)
  * shed targets. Exits non-zero when nothing up to the ceiling does.
  */
 int
-runPlanCapacity(const FlagParser &parser, coe::ClusterConfig cfg,
-                const PlanFlagState &plan, bool set_rate)
+runPlanCapacity(coe::ClusterConfig cfg, const PlanFlagState &plan)
 {
-    if (cfg.node.arrival == coe::ArrivalProcess::ClosedLoop)
-        parser.fail("--plan-capacity sizes for offered load; "
-                    "closed-loop demand self-paces, drop "
-                    "--closed-loop");
-    if (!set_rate && cfg.node.workload.traceIn.empty())
-        parser.fail("--plan-capacity needs the demand pinned: give an "
-                    "explicit --arrival-rate or a --trace-in trace "
-                    "(the default rate scales with the node count)");
-    if (!cfg.overrides.empty())
-        parser.fail("--plan-capacity varies the node count; per-node "
-                    "override lists do not apply");
-    if (cfg.drainAtSeconds > 0.0 || !cfg.actions.empty())
-        parser.fail("--plan-capacity runs clean static clusters; drop "
-                    "--drain-at/--schedule");
-    if (cfg.controller.policy != coe::ControllerPolicy::Static)
-        parser.fail("--plan-capacity provisions statically; drop "
-                    "--controller");
-    if (!cfg.node.workload.traceOut.empty())
-        parser.fail("--plan-capacity runs the demand several times; "
-                    "--trace-out is ambiguous");
-
     int max_nodes = plan.setMaxNodes ? plan.maxNodes : cfg.nodes;
     if (!cfg.node.workload.traceIn.empty()) {
         // Parse once; every candidate node count replays the same
@@ -847,180 +698,14 @@ runPlanCapacity(const FlagParser &parser, coe::ClusterConfig cfg,
 int
 runClusterCmd(int argc, char **argv)
 {
-    coe::ClusterConfig cfg;
-    cfg.nodes = 4;
-    cfg.placement = coe::PlacementPolicy::ReplicateHotPartitionCold;
-    cfg.dispatch = coe::DispatchPolicy::LeastOutstanding;
-    cfg.node.mode = coe::ServingMode::EventDriven;
-    cfg.node.batch = 8;
-    cfg.node.scheduler = coe::SchedulerPolicy::ExpertAffinity;
-    std::string scheduler_name = "affinity";
-
     FlagParser parser("cluster", clusterHelp);
-    WorkloadFlagState wst;
-    ArrivalFlagState ast;
-    ScenarioFlagState sst;
-    ControllerFlagState cst;
-    PlanFlagState plan;
-    ExecFlagState exec;
-    FaultFlagState fst;
-    FabricFlagState fab;
-    SpecZooFlagState szst;
-    bool set_experts = false;
-    addWorkloadFlags(parser, cfg.node, wst);
-    addArrivalFlags(parser, cfg.node, ast);
-    addScenarioFlags(parser, cfg.node, sst);
-    addCoreServingFlags(parser, cfg.node, scheduler_name, &set_experts);
-    addSpecZooFlags(parser, cfg.node, szst);
-    addControllerFlags(parser, cfg.controller, cst);
-    addPlanFlags(parser, plan);
-    addExecFlags(parser, exec);
-    addFaultFlags(parser, cfg.faultPolicy, fst);
-    addFabricFlags(parser, cfg.fabric, fab);
-
-    bool set_rate = false, set_hot = false;
-    bool set_drain_at = false, set_drain_node = false;
-    bool set_rejoin = false, set_diurnal_amp = false;
-    bool set_diurnal_period = false;
-    std::vector<int> node_dma;
-    std::vector<double> node_region_gb;
-    std::string schedule_csv;
-    std::string json_path;
-
-    parser.value("--nodes", [&](const std::string &v) {
-        cfg.nodes = std::stoi(v);
-    });
-    parser.value("--placement", [&](const std::string &v) {
-        cfg.placement = coe::placementPolicyFromName(v);
-    });
-    parser.value("--dispatch", [&](const std::string &v) {
-        cfg.dispatch = coe::dispatchPolicyFromName(v);
-    });
-    parser.value("--hot-experts", [&](const std::string &v) {
-        cfg.hotExperts = std::stoi(v);
-        set_hot = true;
-    });
-    parser.value("--drain-at", [&](const std::string &v) {
-        cfg.drainAtSeconds = std::stod(v);
-        set_drain_at = true;
-    });
-    parser.value("--drain-node", [&](const std::string &v) {
-        cfg.drainNode = std::stoi(v);
-        set_drain_node = true;
-    });
-    parser.value("--rejoin-at", [&](const std::string &v) {
-        cfg.rejoinAtSeconds = std::stod(v);
-        set_rejoin = true;
-    });
-    parser.value("--schedule", [&](const std::string &v) {
-        schedule_csv = v;
-    });
-    parser.value("--diurnal-amplitude", [&](const std::string &v) {
-        cfg.diurnalAmplitude = std::stod(v);
-        set_diurnal_amp = true;
-    });
-    parser.value("--diurnal-period", [&](const std::string &v) {
-        cfg.diurnalPeriodSeconds = std::stod(v);
-        set_diurnal_period = true;
-    });
-    parser.value("--node-dma-engines", [&](const std::string &v) {
-        node_dma = parseList<int>(
-            parser, v, +[](const std::string &s) { return std::stoi(s); });
-    });
-    parser.value("--node-region-gb", [&](const std::string &v) {
-        node_region_gb = parseList<double>(
-            parser, v, +[](const std::string &s) { return std::stod(s); });
-    });
-    parser.value("--json", [&](const std::string &v) { json_path = v; });
-
-    if (parser.parse(argc, argv, std::cout))
+    std::optional<ClusterArgs> args =
+        parseClusterArgs(parser, subcommandArgs(argc, argv), std::cout);
+    if (!args)
         return 0;
-    validateWorkloadFlags(parser, cfg.node, wst);
-    validateArrivalFlags(parser, cfg.node, ast);
-    validateScenarioFlags(parser, cfg.node, sst, ast);
-    validateSpecZooFlags(parser, cfg.node, szst, set_experts);
-    validateControllerFlags(parser, cfg.controller, cst);
-    validatePlanFlags(parser, plan);
-    validateFaultFlags(parser, cfg.faultPolicy, fst, cfg.node);
-    validateFabricFlags(parser, cfg.fabric, fab, cfg.dispatch);
-    validateClusterExecFlags(parser, exec, cfg.node, cfg.dispatch, ast,
-                             sst);
-    if (exec.threads > cfg.nodes && cfg.nodes > 0) {
-        std::cerr << "warning: --threads " << exec.threads
-                  << " exceeds --nodes " << cfg.nodes
-                  << "; clamping to one worker per node\n";
-        exec.threads = cfg.nodes;
-    }
-    cfg.threads = exec.threads;
-    // The diurnal ramp shapes the arrival generator, which a replay
-    // bypasses entirely — reject it like the other generator flags
-    // instead of silently replaying the flat recorded stream.
-    if (!cfg.node.workload.traceIn.empty() &&
-        (set_diurnal_amp || set_diurnal_period))
-        parser.fail("--trace-in replays a recorded request stream; "
-                    "--diurnal-amplitude/--diurnal-period do not "
-                    "apply");
-    // The shared arrival group tracked whether --arrival-rate was set;
-    // if not, the open-loop default scales with the cluster size.
-    set_rate = ast.setArrivalRate;
-
-    if (cfg.nodes <= 0)
-        parser.fail("--nodes must be at least 1");
-    if (scheduler_name == "both")
-        parser.fail("cluster runs a single scheduler; pick fifo or "
-                    "affinity");
-    cfg.node.scheduler = coe::schedulerPolicyFromName(scheduler_name);
-    if (set_hot &&
-        cfg.placement != coe::PlacementPolicy::ReplicateHotPartitionCold)
-        parser.fail("--hot-experts requires --placement replicate-hot");
-    if (set_drain_at && cfg.drainAtSeconds <= 0.0)
-        parser.fail("--drain-at must be positive (the drain fires "
-                    "mid-run)");
-    if ((set_drain_node || set_rejoin) && !set_drain_at)
-        parser.fail("--drain-node/--rejoin-at require --drain-at");
-    if (set_diurnal_period && !set_diurnal_amp)
-        parser.fail("--diurnal-period requires --diurnal-amplitude");
-    if (!schedule_csv.empty())
-        cfg.actions = parseScheduleList(parser, schedule_csv);
-    if (!node_dma.empty() &&
-        static_cast<int>(node_dma.size()) != cfg.nodes)
-        parser.fail("--node-dma-engines needs exactly --nodes entries");
-    if (!node_region_gb.empty() &&
-        static_cast<int>(node_region_gb.size()) != cfg.nodes)
-        parser.fail("--node-region-gb needs exactly --nodes entries");
-    for (int n = 0; n < cfg.nodes; ++n) {
-        coe::ClusterNodeOverride o;
-        o.node = n;
-        if (!node_dma.empty())
-            o.dmaEngines = node_dma[static_cast<std::size_t>(n)];
-        if (!node_region_gb.empty()) {
-            double gb = node_region_gb[static_cast<std::size_t>(n)];
-            if (gb <= 0.0)
-                parser.fail("--node-region-gb entries must be positive");
-            o.expertRegionBytes = static_cast<std::int64_t>(gb * 1e9);
-        }
-        if (o.dmaEngines > 0 || o.expertRegionBytes > 0)
-            cfg.overrides.push_back(o);
-    }
-    if (!set_rate && cfg.node.arrival == coe::ArrivalProcess::Poisson)
-        cfg.node.arrivalRatePerSec = 8.0 * cfg.nodes;
-    if (fst.setFaults) {
-        // Parse (and strictly validate) once; the simulator re-checks
-        // the schedule against the final node count.
-        cfg.faults =
-            std::make_shared<const std::vector<coe::FaultEvent>>(
-                coe::loadFaultSchedule(fst.faultsPath));
-    }
-
-    if (plan.plan) {
-        if (!json_path.empty())
-            parser.fail("--json reports a single cluster run; it does "
-                        "not combine with --plan-capacity");
-        if (fst.setFaults || cfg.faultPolicy.anyEnabled())
-            parser.fail("--plan-capacity sizes clean static clusters; "
-                        "drop --faults and the degraded-mode flags");
-        return runPlanCapacity(parser, cfg, plan, set_rate);
-    }
+    const coe::ClusterConfig &cfg = args->cfg;
+    if (args->plan.plan)
+        return runPlanCapacity(cfg, args->plan);
 
     std::cout << "CoE cluster on "
               << coe::platformName(cfg.node.platform) << ": "
@@ -1167,12 +852,12 @@ runClusterCmd(int argc, char **argv)
     if (!cfg.node.workload.traceOut.empty())
         std::cout << "wrote request trace to "
                   << cfg.node.workload.traceOut << "\n";
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
+    if (!args->jsonPath.empty()) {
+        std::ofstream out(args->jsonPath);
         if (!out)
-            parser.fail("cannot write " + json_path);
+            parser.fail("cannot write " + args->jsonPath);
         coe::writeClusterJson(out, cfg, r);
-        std::cout << "wrote " << json_path << "\n";
+        std::cout << "wrote " << args->jsonPath << "\n";
     }
     return 0;
 }
@@ -1202,12 +887,20 @@ run(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        auto nextInt = [&]() {
+            std::string v = next();
+            try {
+                return parseInteger<int>(v);
+            } catch (const BadNumber &e) {
+                throw std::runtime_error("flag " + arg + ": " + e.what());
+            }
+        };
         if (arg == "--model") model_name = next();
         else if (arg == "--phase") phase_name = next();
-        else if (arg == "--seq") seq = std::stoi(next());
-        else if (arg == "--batch") batch = std::stoi(next());
-        else if (arg == "--tp") tp = std::stoi(next());
-        else if (arg == "--sockets") sockets = std::stoi(next());
+        else if (arg == "--seq") seq = nextInt();
+        else if (arg == "--batch") batch = nextInt();
+        else if (arg == "--tp") tp = nextInt();
+        else if (arg == "--sockets") sockets = nextInt();
         else if (arg == "--config") config_name = next();
         else if (arg == "--trace") trace_path = next();
         else usage();
@@ -1292,14 +985,14 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+    // Surface the library's warnings, e.g. clamping --threads to --nodes.
+    sim::setLogLevel(sim::LogLevel::Warn);
     try {
         return run(argc, argv);
     } catch (const tools::FlagUsageError &e) {
         std::cerr << "error: " << e.what() << "\n"
                   << "run `sn40l_run " << e.subcommand()
                   << " --help` for the flag reference\n";
-    } catch (const std::invalid_argument &) {
-        std::cerr << "error: malformed numeric argument\n";
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
     }
