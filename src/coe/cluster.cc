@@ -10,7 +10,9 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "coe/serving_engine.h"
 #include "coe/workload.h"
@@ -291,6 +293,51 @@ class ShardWorkerPool
     std::vector<std::thread> workers_;
 };
 
+/**
+ * The run's cumulative counters as one value, read in one place
+ * (RunState::counters()). A snapshot window is the difference of two
+ * of these, and finish() takes its totals from one.
+ */
+struct Counters
+{
+    /** Cluster-wide; completions and shed include the hub's ledger. */
+    std::int64_t arrivals = 0, completions = 0, shed = 0, lost = 0,
+                 retried = 0, hedged = 0, hedgeWon = 0;
+    /** Per node (the engines' own completions and sheds), per expert,
+     *  and per link (empty without the fabric). */
+    std::vector<std::int64_t> dispatched, completed, misses, nodeShed,
+        expertHits, linkBusy;
+};
+
+Counters
+operator-(Counters a, const Counters &b)
+{
+    for (auto f : {&Counters::arrivals, &Counters::completions,
+                   &Counters::shed, &Counters::lost, &Counters::retried,
+                   &Counters::hedged, &Counters::hedgeWon})
+        a.*f -= b.*f;
+    for (auto v : {&Counters::dispatched, &Counters::completed,
+                   &Counters::misses, &Counters::nodeShed,
+                   &Counters::expertHits, &Counters::linkBusy})
+        for (std::size_t i = 0; i < (a.*v).size(); ++i)
+            (a.*v)[i] -= (b.*v)[i];
+    return a;
+}
+
+/** The EngineRequest @p engine serves: a fresh arrival is stamped at
+ *  the dispatch tick @p now, any other request keeps its own stamp. */
+EngineRequest
+engineRequest(ServingEngine &engine, const TrafficRequest &r, sim::Tick now)
+{
+    return engine.makeEngineRequest(r, now);
+}
+
+EngineRequest
+engineRequest(ServingEngine &, EngineRequest r, sim::Tick)
+{
+    return r;
+}
+
 } // namespace
 
 /**
@@ -308,13 +355,34 @@ struct ClusterSimulator::RunState
           isCandidate(static_cast<std::size_t>(nodes), 0),
           dispatchedTo(static_cast<std::size_t>(nodes), 0),
           redispatchedFrom(static_cast<std::size_t>(nodes), 0),
-          ring(nodes), liveCount(nodes),
-          baseDispatched(static_cast<std::size_t>(nodes), 0),
-          baseCompleted(static_cast<std::size_t>(nodes), 0),
-          baseMisses(static_cast<std::size_t>(nodes), 0),
-          baseShedNode(static_cast<std::size_t>(nodes), 0)
+          ring(nodes),
+          serviceFactor(static_cast<std::size_t>(nodes), 1.0),
+          dmaFactor(static_cast<std::size_t>(nodes), 1.0),
+          flakyProb(static_cast<std::size_t>(nodes), 0.0),
+          knownDone(static_cast<std::size_t>(nodes), 0)
     {
         candidates.reserve(static_cast<std::size_t>(nodes));
+    }
+
+    Counters counters() const;
+
+    int liveCount() const
+    {
+        return static_cast<int>(std::count(live.begin(), live.end(), 1));
+    }
+
+    /** Mean admission-queue depth over the live nodes (0 if none). */
+    double
+    meanLiveQueueDepth() const
+    {
+        std::int64_t depth = 0;
+        for (std::size_t n = 0; n < engines.size(); ++n)
+            if (live[n])
+                depth += static_cast<std::int64_t>(engines[n]->queueDepth());
+        int count = liveCount();
+        return count > 0
+            ? static_cast<double>(depth) / static_cast<double>(count)
+            : 0.0;
     }
 
     /**
@@ -332,18 +400,15 @@ struct ClusterSimulator::RunState
      */
     struct Shard
     {
+        /**
+         * A fresh arrival stays a TrafficRequest (the shard builds it);
+         * a fabric delivery is the EngineRequest stamped hub-side at
+         * dispatch, before the network transit.
+         */
         struct Pending
         {
-            TrafficRequest request;
+            std::variant<TrafficRequest, EngineRequest> request;
             sim::Tick tick;
-            /**
-             * Fabric deliveries arrive as fully-built EngineRequests
-             * (the arrival timestamp was stamped hub-side at dispatch,
-             * before the network transit): `built` carries the
-             * request and the shard injects it with injectAt().
-             */
-            bool prebuilt = false;
-            EngineRequest built;
         };
 
         sim::EventQueue eq;
@@ -392,27 +457,18 @@ struct ClusterSimulator::RunState
     std::vector<std::int64_t> dispatchedTo;
     std::vector<std::int64_t> redispatchedFrom;
     std::vector<std::int64_t> expertHits; ///< cumulative, per expert
-    std::int64_t redispatchedTotal = 0;
     HashRing ring;
     std::size_t rrCursor = 0;
     std::vector<int> candidates;
     sim::Tick firstArrival = -1;
 
     // ---- node-hours accounting
-    int liveCount;
     sim::Tick liveMark = 0;
     double nodeSecondsLive = 0.0;
 
-    // ---- snapshot window baseline (cumulative values last seen)
+    // ---- snapshot window: start tick and the counters seen there
     sim::Tick snapTick = 0;
-    std::int64_t baseArrivals = 0;
-    std::int64_t baseCompletions = 0;
-    std::int64_t baseShed = 0;
-    std::vector<std::int64_t> baseDispatched;
-    std::vector<std::int64_t> baseCompleted;
-    std::vector<std::int64_t> baseMisses;
-    std::vector<std::int64_t> baseShedNode;
-    std::vector<std::int64_t> baseExpertHits;
+    Counters last;
 
     // ---- chaos-layer state (coe/faults.h; inert when no schedule
     // ---- and no policy knob is enabled)
@@ -445,22 +501,13 @@ struct ClusterSimulator::RunState
     };
     std::map<int, HedgePair> hedges; ///< by request id
     std::unique_ptr<sim::Rng> faultRng; ///< flaky draws only
-    std::int64_t retryBudgetUsed = 0;
     bool brownoutActive = false;
     std::int64_t crashes = 0;
     std::int64_t lost = 0;
     std::int64_t retried = 0;
     std::int64_t hedged = 0;
     std::int64_t hedgeWon = 0;
-    /** Completions credited hub-side (hedge wins); the engines never
-     *  count a duplicate, so cluster completed = sum(engines) + this. */
-    std::int64_t hedgeCredits = 0;
     std::int64_t brownoutShed = 0;
-    // chaos snapshot-window baselines
-    std::int64_t baseLost = 0;
-    std::int64_t baseRetried = 0;
-    std::int64_t baseHedged = 0;
-    std::int64_t baseHedgeWon = 0;
 
     // ---- interconnect (null when cfg.fabric.enabled == false)
     /**
@@ -469,11 +516,13 @@ struct ClusterSimulator::RunState
      * delivery ticks are identical across -j 1 / -j N.
      */
     std::unique_ptr<ClusterFabric> fabric;
-    std::vector<sim::Tick> baseLinkBusy; ///< snapshot-window baseline
     std::int64_t migrationsInFlight = 0; ///< payload sent, flip pending
 
     // ---- parallel-run state (inert at threads==1)
     int threads = 1; ///< effective worker count for this run
+    /** A sync-agenda callback runs: shards are parked at its tick, so
+     *  deliveries inject directly instead of through the mailbox. */
+    bool inControl = false;
     /** Min-heap (agendaLater) of pending control callbacks. */
     std::vector<AgendaEntry> agenda;
     std::uint64_t agendaSeq = 0;
@@ -538,10 +587,7 @@ validateClusterConfig(const ClusterConfig &cfg)
                    "(it reads per-node queue state that is stale "
                    "mid-window); use round-robin or expert-affinity");
 
-    RateShape diurnal;
-    diurnal.diurnalAmplitude = cfg.diurnalAmplitude;
-    diurnal.diurnalPeriodSeconds = cfg.diurnalPeriodSeconds;
-    validateShape(diurnal);
+    validateShape(RateShape{cfg.diurnalAmplitude, cfg.diurnalPeriodSeconds});
     if (cfg.diurnalAmplitude > 0.0 && node.arrival != ArrivalProcess::Poisson)
         sim::fatal("--diurnal-amplitude modulates the open-loop Poisson "
                    "rate; it cannot be combined with a closed loop");
@@ -636,18 +682,11 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
     // ahead of any explicit actions, preserving the historical event
     // creation order exactly.
     if (cfg_.drainAtSeconds > 0.0) {
-        ScheduledAction drain;
-        drain.atSeconds = cfg_.drainAtSeconds;
-        drain.kind = ActionKind::Drain;
-        drain.node = cfg_.drainNode;
-        effectiveActions_.push_back(drain);
-        if (cfg_.rejoinAtSeconds > 0.0) {
-            ScheduledAction rejoin;
-            rejoin.atSeconds = cfg_.rejoinAtSeconds;
-            rejoin.kind = ActionKind::Rejoin;
-            rejoin.node = cfg_.drainNode;
-            effectiveActions_.push_back(rejoin);
-        }
+        effectiveActions_.push_back(
+            {cfg_.drainAtSeconds, ActionKind::Drain, cfg_.drainNode});
+        if (cfg_.rejoinAtSeconds > 0.0)
+            effectiveActions_.push_back(
+                {cfg_.rejoinAtSeconds, ActionKind::Rejoin, cfg_.drainNode});
     }
     effectiveActions_.insert(effectiveActions_.end(), cfg_.actions.begin(),
                              cfg_.actions.end());
@@ -695,8 +734,6 @@ ClusterSimulator::begin()
         static_cast<std::size_t>(N),
         base.zoo.enabled ? base.expertBase.weightBytes() : 0.0);
     rs->expertHits.assign(static_cast<std::size_t>(base.numExperts), 0);
-    rs->baseExpertHits.assign(static_cast<std::size_t>(base.numExperts),
-                              0);
     for (int n = 0; n < N; ++n) {
         for (int e :
              rs->placement.expertsOfNode[static_cast<std::size_t>(n)])
@@ -715,10 +752,8 @@ ClusterSimulator::begin()
     // cluster's diurnal ramp is layered onto the model as a RateShape
     // (amplitude 0 keeps the gap arithmetic bit-identical to the
     // single-node Poisson chain).
-    RateShape diurnal;
-    diurnal.diurnalAmplitude = cfg_.diurnalAmplitude;
-    diurnal.diurnalPeriodSeconds = cfg_.diurnalPeriodSeconds;
-    rs->workload = makeWorkloadModel(base, diurnal);
+    rs->workload = makeWorkloadModel(
+        base, RateShape{cfg_.diurnalAmplitude, cfg_.diurnalPeriodSeconds});
 
     const bool parallel = cfg_.threads > 1;
     rs->threads = cfg_.threads;
@@ -749,13 +784,9 @@ ClusterSimulator::begin()
     // dispatch, drain re-placement, and migration payloads serialize
     // over its links, and their delivery ticks bound the parallel
     // windows exactly like arrival ticks do.
-    if (cfg_.fabric.enabled) {
+    if (cfg_.fabric.enabled)
         rs->fabric =
             std::make_unique<ClusterFabric>(rs->eq, cfg_.fabric, N);
-        rs->baseLinkBusy.assign(
-            static_cast<std::size_t>(rs->fabric->network().linkCount()),
-            0);
-    }
 
     // Closed-loop clients are cluster-wide: whichever node finishes a
     // batch frees that many clients to think and re-issue. Session
@@ -764,27 +795,11 @@ ClusterSimulator::begin()
     // hub-owned workload from worker threads mid-window, and the
     // config validation already rejected every workload that needs
     // them (closed loop, generated sessions).
-    if (!parallel) {
-        for (int n = 0; n < N; ++n) {
-            ServingEngine &e = *rs->engines[static_cast<std::size_t>(n)];
-            WorkloadModel *workload = rs->workload.get();
-            e.setOnBatchComplete([workload](int finished) {
-                workload->onBatchComplete(finished);
-            });
-            e.setOnRequestComplete([workload](const EngineRequest &r) {
-                workload->onRequestComplete(toTrafficRequest(r));
-            });
-            e.setOnRequestShed([workload](const EngineRequest &r) {
-                workload->onRequestShed(toTrafficRequest(r));
-            });
-        }
-    }
+    if (!parallel)
+        for (std::unique_ptr<ServingEngine> &e : rs->engines)
+            e->reportTo(*rs->workload);
 
     // ---- chaos layer (inert without a schedule or policy knob) ----
-    rs->serviceFactor.assign(static_cast<std::size_t>(N), 1.0);
-    rs->dmaFactor.assign(static_cast<std::size_t>(N), 1.0);
-    rs->flakyProb.assign(static_cast<std::size_t>(N), 0.0);
-    rs->knownDone.assign(static_cast<std::size_t>(N), 0);
     const bool chaos = (cfg_.faults && !cfg_.faults->empty()) ||
         cfg_.faultPolicy.anyEnabled();
     if (chaos)
@@ -799,8 +814,10 @@ ClusterSimulator::begin()
         for (std::unique_ptr<ServingEngine> &e : rs->engines)
             e->setLogCompletions(true);
 
-    // rs_ must be live before the scheduled lambdas (and the workload
-    // sink below) can reference the actuators.
+    // The first snapshot window opens on the all-zero counters. rs_
+    // must be live before the scheduled lambdas (and the workload sink
+    // below) can reference the actuators.
+    rs->last = rs->counters();
     rs_ = std::move(rs);
 
     // ---- scripted actions (legacy drain/rejoin desugared + explicit)
@@ -855,14 +872,103 @@ ClusterSimulator::begin()
 }
 
 /**
+ * Pick a host for @p request and deliver it there, unless the node is
+ * flaky and the dispatch itself fails into the retry-or-lost path
+ * (drawn from the fault stream only while a flaky window is open).
+ * Returns the chosen node, or -1 on a failure.
+ */
+template <typename Request>
+int
+ClusterSimulator::dispatch(Request &&request)
+{
+    RunState &rs = *rs_;
+    int n = pickNode(request.expert);
+    auto ns = static_cast<std::size_t>(n);
+    if (rs.flakyProb[ns] > 0.0 &&
+        rs.faultRng->uniformDouble() < rs.flakyProb[ns]) {
+        stats_.inc("flaky_failures");
+        handleDisplaced(engineRequest(
+            *rs.engines[ns], std::forward<Request>(request), rs.eq.now()));
+        return -1;
+    }
+    deliver(n, std::forward<Request>(request));
+    return n;
+}
+
+/**
+ * The one delivery seam: every dispatch (arrival, hedge duplicate,
+ * retry, drain re-placement) is counted here and travels to @p node.
+ * Over the fabric it is stamped now, so latency includes the transit,
+ * and leaves the hub (@p from == -1) or node @p from as a prompt
+ * hand-off message; it lands when its last flit arrives. Without the
+ * fabric it lands at once.
+ */
+template <typename Request>
+void
+ClusterSimulator::deliver(int node, Request &&request, int from)
+{
+    RunState &rs = *rs_;
+    auto ns = static_cast<std::size_t>(node);
+    ++rs.dispatchedTo[ns];
+    if (!rs.fabric) {
+        land(node, std::forward<Request>(request));
+        return;
+    }
+    auto onLanded = [this, node,
+                     r = engineRequest(*rs.engines[ns],
+                                       std::forward<Request>(request),
+                                       rs.eq.now())]() mutable {
+        land(node, std::move(r));
+    };
+    if (from < 0)
+        rs.fabric->sendRequest(node, cfg_.fabric.requestPayloadBytes,
+                               std::move(onLanded));
+    else
+        rs.fabric->sendTransfer(from, node, rs.fabric->requestBytes(),
+                                std::move(onLanded));
+}
+
+/**
+ * Hand a delivered request to @p node's engine: staged into its
+ * mailbox in a hub event at threads > 1 (the shard has not run past
+ * the tick, and builds a fresh arrival itself), else injected now. A
+ * node that went down while the request was on the wire displaces it
+ * into the retry-or-lost path: nothing vanishes on the wire.
+ */
+template <typename Request>
+void
+ClusterSimulator::land(int node, Request &&request)
+{
+    RunState &rs = *rs_;
+    auto ns = static_cast<std::size_t>(node);
+    constexpr bool built =
+        std::is_same_v<std::decay_t<Request>, EngineRequest>;
+    if constexpr (built) {
+        if (!rs.live[ns]) {
+            stats_.inc("network_displaced");
+            handleDisplaced(std::forward<Request>(request));
+            return;
+        }
+    }
+    if (rs.threads > 1 && !rs.inControl) {
+        rs.shards[ns].staging.push_back(
+            {std::forward<Request>(request), rs.eq.now()});
+        ++rs.hubBuffered;
+    } else if constexpr (built) {
+        rs.engines[ns]->injectAt(std::forward<Request>(request));
+    } else {
+        rs.engines[ns]->inject(request);
+    }
+}
+
+/**
  * Route one arriving request to a hosting node, applying the
  * degraded-mode policies on the way: brown-out shedding at the door,
  * flaky-dispatch failures into the retry path, and hedged dispatch of
  * a duplicate when the chosen node's backlog estimate blows the SLO.
  * Runs in the hub phase (threads > 1) or inside the arrival event
- * (threads == 1); it touches only hub-owned state plus the mailbox /
- * direct-inject seam the plain dispatch already used, and with every
- * policy disabled it reduces exactly to that plain dispatch.
+ * (threads == 1); with every policy disabled it reduces exactly to
+ * the plain dispatch.
  */
 void
 ClusterSimulator::dispatchRequest(const TrafficRequest &request)
@@ -882,52 +988,12 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
         return;
     }
 
-    int n = pickNode(request.expert);
-
-    // Flaky node: the dispatch itself fails and the request enters
-    // the same retry-or-lost path a crash displacement does, with its
-    // arrival timestamp preserved. Drawn from the dedicated fault
-    // stream only while a flaky window is open.
-    if (rs.flakyProb[static_cast<std::size_t>(n)] > 0.0 &&
-        rs.faultRng->uniformDouble() <
-            rs.flakyProb[static_cast<std::size_t>(n)]) {
-        stats_.inc("flaky_failures");
-        handleDisplaced(
-            rs.engines[static_cast<std::size_t>(n)]->makeEngineRequest(
-                request, rs.eq.now()));
-        return;
-    }
-
-    auto deliver = [this, &rs](int node, const TrafficRequest &r) {
-        if (rs.fabric) {
-            // The EngineRequest is built at the dispatch tick (its
-            // arrival stamp), so measured latency includes the
-            // network transit; injection happens when the last flit
-            // lands at the node.
-            forwardRequest(
-                node, rs.engines[static_cast<std::size_t>(node)]
-                          ->makeEngineRequest(r, rs.eq.now()));
-            return;
-        }
-        ++rs.dispatchedTo[static_cast<std::size_t>(node)];
-        if (rs.threads > 1) {
-            RunState::Shard &sh =
-                rs.shards[static_cast<std::size_t>(node)];
-            RunState::Shard::Pending p;
-            p.request = r;
-            p.tick = rs.eq.now();
-            sh.staging.push_back(std::move(p));
-            ++rs.hubBuffered;
-        } else {
-            rs.engines[static_cast<std::size_t>(node)]->inject(r);
-        }
-    };
-    deliver(n, request);
+    int n = dispatch(request);
 
     // Hedged dispatch: when the chosen node's queueing-delay estimate
     // exceeds the priority-scaled SLO, race a duplicate on the best
     // other live node; the loser is cancelled at a policy barrier.
-    if (policy.hedge && request.deadlineSeconds > 0.0 &&
+    if (n >= 0 && policy.hedge && request.deadlineSeconds > 0.0 &&
         estimateDelaySeconds(n) >
             policy.hedgeThreshold *
                 (1.0 + static_cast<double>(request.priority)) *
@@ -963,57 +1029,6 @@ ClusterSimulator::dispatchRequest(const TrafficRequest &request)
     }
 }
 
-/**
- * Ship one request (initial dispatch, retry, or hedge duplicate) from
- * the hub to @p node over the fabric. The wire size is the modeled
- * prompt-handoff payload plus the per-message overhead — NOT the
- * request's trafficBytes, which counts node-local HBM streaming;
- * delivery goes through deliverViaFabric() when the last flit lands.
- */
-void
-ClusterSimulator::forwardRequest(int node, EngineRequest request)
-{
-    RunState &rs = *rs_;
-    ++rs.dispatchedTo[static_cast<std::size_t>(node)];
-    rs.fabric->sendRequest(
-        node, cfg_.fabric.requestPayloadBytes,
-        [this, node, r = std::move(request)]() mutable {
-            deliverViaFabric(node, std::move(r));
-        });
-}
-
-/**
- * A request's last flit landed at @p node. Runs inside a network
- * event on the hub queue: at threads == 1 the engine takes it
- * directly; at threads > 1 it is staged into the node's mailbox (the
- * current tick is at or past the committed window end, so the shard
- * has not run past it). A node that went down while the message was
- * in flight displaces the request into the retry-or-lost path —
- * conservation holds, nothing vanishes on the wire.
- */
-void
-ClusterSimulator::deliverViaFabric(int node, EngineRequest request)
-{
-    RunState &rs = *rs_;
-    auto ns = static_cast<std::size_t>(node);
-    if (!rs.live[ns]) {
-        stats_.inc("network_displaced");
-        handleDisplaced(std::move(request));
-        return;
-    }
-    if (rs.threads > 1) {
-        RunState::Shard &sh = rs.shards[ns];
-        RunState::Shard::Pending p;
-        p.tick = rs.eq.now();
-        p.prebuilt = true;
-        p.built = std::move(request);
-        sh.staging.push_back(std::move(p));
-        ++rs.hubBuffered;
-    } else {
-        rs.engines[ns]->injectAt(std::move(request));
-    }
-}
-
 void
 ClusterSimulator::scheduleControlAt(sim::Tick when,
                                     std::function<void()> cb,
@@ -1035,11 +1050,10 @@ ClusterSimulator::scheduleControlIn(sim::Tick delta,
                                     std::function<void()> cb,
                                     const char *name)
 {
-    if (!rs_)
-        sim::panic("cluster: scheduleControlIn outside an active run");
+    RunState &rs = active("scheduleControlIn");
     if (delta < 0)
         sim::panic("cluster: negative control delay");
-    scheduleControlAt(rs_->eq.now() + delta, std::move(cb), name);
+    scheduleControlAt(rs.eq.now() + delta, std::move(cb), name);
 }
 
 int
@@ -1063,24 +1077,25 @@ ClusterSimulator::pickNode(int expert)
     }
     if (rs.candidates.empty())
         sim::panic("cluster: no live node to dispatch to");
-    switch (cfg_.dispatch) {
-      case DispatchPolicy::RoundRobin:
-        return rs.candidates[rs.rrCursor++ % rs.candidates.size()];
-      case DispatchPolicy::LeastOutstanding: {
+    // The candidate with the smallest key; ties keep the lowest id.
+    auto argmin = [&rs](auto key) {
         int best = rs.candidates.front();
-        std::int64_t best_out =
-            rs.engines[static_cast<std::size_t>(best)]->outstanding();
+        auto bestKey = key(static_cast<std::size_t>(best));
         for (std::size_t i = 1; i < rs.candidates.size(); ++i) {
-            int n = rs.candidates[i];
-            std::int64_t out =
-                rs.engines[static_cast<std::size_t>(n)]->outstanding();
-            if (out < best_out) { // ties keep the lowest node id
-                best = n;
-                best_out = out;
+            auto k = key(static_cast<std::size_t>(rs.candidates[i]));
+            if (k < bestKey) {
+                best = rs.candidates[i];
+                bestKey = k;
             }
         }
         return best;
-      }
+    };
+    switch (cfg_.dispatch) {
+      case DispatchPolicy::RoundRobin:
+        return rs.candidates[rs.rrCursor++ % rs.candidates.size()];
+      case DispatchPolicy::LeastOutstanding:
+        return argmin(
+            [&rs](std::size_t n) { return rs.engines[n]->outstanding(); });
       case DispatchPolicy::ExpertAffinity: {
         for (int n : rs.candidates)
             rs.isCandidate[static_cast<std::size_t>(n)] = 1;
@@ -1096,21 +1111,11 @@ ClusterSimulator::pickNode(int expert)
         // -j 1 / -j N (unlike least-outstanding, which reads shard
         // state). First tie-break: fewest requests sent so far, so an
         // idle fabric degenerates to an even spread.
-        int best = rs.candidates.front();
-        double bestCong = rs.fabric->hubCongestion(best);
-        for (std::size_t i = 1; i < rs.candidates.size(); ++i) {
-            int n = rs.candidates[i];
-            double cong = rs.fabric->hubCongestion(n);
-            auto nsz = static_cast<std::size_t>(n);
-            auto bsz = static_cast<std::size_t>(best);
-            if (cong < bestCong ||
-                (cong == bestCong &&
-                 rs.dispatchedTo[nsz] < rs.dispatchedTo[bsz])) {
-                best = n;
-                bestCong = cong;
-            }
-        }
-        return best;
+        return argmin([&rs](std::size_t n) {
+            return std::make_pair(
+                rs.fabric->hubCongestion(static_cast<int>(n)),
+                rs.dispatchedTo[n]);
+        });
       }
     }
     sim::panic("cluster: unknown dispatch policy");
@@ -1123,62 +1128,49 @@ ClusterSimulator::accrueNodeSeconds()
     sim::Tick now = rs.eq.now();
     if (now > rs.liveMark)
         rs.nodeSecondsLive += sim::toSeconds(now - rs.liveMark) *
-            static_cast<double>(rs.liveCount);
+            static_cast<double>(rs.liveCount());
     rs.liveMark = now;
+}
+
+/** Drain's and crash's prologue: take @p node out of the live set,
+ *  unless it is down already or the last live node. */
+bool
+ClusterSimulator::takeDown(int node)
+{
+    RunState &rs = *rs_;
+    auto d = static_cast<std::size_t>(node);
+    if (!rs.live[d] || rs.liveCount() <= 1)
+        return false;
+    accrueNodeSeconds();
+    rs.live[d] = 0;
+    rs.wasDrained[d] = 1;
+    return true;
 }
 
 bool
 ClusterSimulator::drainNode(int node)
 {
-    if (!rs_)
-        sim::panic("cluster: drainNode outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: drainNode out of range");
-    RunState &rs = *rs_;
-    auto d = static_cast<std::size_t>(node);
-    if (!rs.live[d])
-        return false; // idempotent: already drained
-    if (rs.liveCount <= 1)
-        return false; // requests must have somewhere to go
-    accrueNodeSeconds();
-    rs.live[d] = 0;
-    rs.wasDrained[d] = 1;
-    --rs.liveCount;
+    RunState &rs = active("drainNode", {node});
+    if (!takeDown(node))
+        return false;
     stats_.inc("drain_events");
     // The executing batch finishes on the draining node; everything
     // still queued re-dispatches with its full request state (arrival
     // timestamp, tenant, SLO), so tail latency tells the truth about
-    // the disruption.
+    // the disruption. Over the fabric, re-placement pays a node -> node
+    // transfer of the request's wire size before the target takes it.
+    auto d = static_cast<std::size_t>(node);
     std::vector<EngineRequest> moved = rs.engines[d]->extractQueued();
     rs.redispatchedFrom[d] += static_cast<std::int64_t>(moved.size());
-    rs.redispatchedTotal += static_cast<std::int64_t>(moved.size());
-    for (EngineRequest &r : moved) {
-        int n = pickNode(r.expert);
-        if (rs.fabric) {
-            // Re-placement pays a node -> node transfer of the
-            // request's wire size before the target takes it.
-            ++rs.dispatchedTo[static_cast<std::size_t>(n)];
-            rs.fabric->sendTransfer(
-                node, n, rs.fabric->requestBytes(),
-                [this, n, rq = std::move(r)]() mutable {
-                    deliverViaFabric(n, std::move(rq));
-                });
-            continue;
-        }
-        ++rs.dispatchedTo[static_cast<std::size_t>(n)];
-        rs.engines[static_cast<std::size_t>(n)]->injectAt(std::move(r));
-    }
+    for (EngineRequest &r : moved)
+        deliver(pickNode(r.expert), std::move(r), node);
     return true;
 }
 
 bool
 ClusterSimulator::rejoinNode(int node)
 {
-    if (!rs_)
-        sim::panic("cluster: rejoinNode outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: rejoinNode out of range");
-    RunState &rs = *rs_;
+    RunState &rs = active("rejoinNode", {node});
     auto d = static_cast<std::size_t>(node);
     if (rs.live[d])
         return false; // idempotent: already live
@@ -1187,7 +1179,6 @@ ClusterSimulator::rejoinNode(int node)
     // traffic.
     rs.engines[d]->flushResident();
     rs.live[d] = 1;
-    ++rs.liveCount;
     stats_.inc("rejoin_events");
     return true;
 }
@@ -1195,27 +1186,17 @@ ClusterSimulator::rejoinNode(int node)
 bool
 ClusterSimulator::crashNode(int node)
 {
-    if (!rs_)
-        sim::panic("cluster: crashNode outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: crashNode out of range");
-    RunState &rs = *rs_;
-    auto d = static_cast<std::size_t>(node);
-    if (!rs.live[d])
-        return false; // already down
-    if (rs.liveCount <= 1)
-        return false; // displaced requests must have somewhere to go
-    accrueNodeSeconds();
-    rs.live[d] = 0;
-    rs.wasDrained[d] = 1;
-    --rs.liveCount;
+    RunState &rs = active("crashNode", {node});
+    if (!takeDown(node))
+        return false;
     ++rs.crashes;
     stats_.inc("crash_events");
     // Unlike a clean drain, the in-flight batch dies with the node:
     // crashExtract() hands back queued AND executing requests (the
     // abandoned batch resolves as a ghost that completes nothing) and
     // every one of them goes through the retry-or-lost policy.
-    std::vector<EngineRequest> displaced = rs.engines[d]->crashExtract();
+    std::vector<EngineRequest> displaced =
+        rs.engines[static_cast<std::size_t>(node)]->crashExtract();
     for (EngineRequest &r : displaced)
         handleDisplaced(std::move(r));
     return true;
@@ -1224,56 +1205,43 @@ ClusterSimulator::crashNode(int node)
 void
 ClusterSimulator::setNodeDmaFactor(int node, double factor)
 {
-    if (!rs_)
-        sim::panic("cluster: setNodeDmaFactor outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: setNodeDmaFactor out of range");
+    RunState &rs = active("setNodeDmaFactor", {node});
     if (!(factor >= 1.0) || !std::isfinite(factor))
         sim::fatal("cluster: DMA stall factor must be a finite number "
                    ">= 1");
     auto d = static_cast<std::size_t>(node);
-    rs_->engines[d]->memorySystem().setDmaRateFactor(factor);
-    rs_->dmaFactor[d] = factor;
+    rs.engines[d]->memorySystem().setDmaRateFactor(factor);
+    rs.dmaFactor[d] = factor;
     stats_.inc(factor == 1.0 ? "dma_heals" : "dma_stalls");
 }
 
 void
 ClusterSimulator::setNodeServiceFactor(int node, double factor)
 {
-    if (!rs_)
-        sim::panic("cluster: setNodeServiceFactor outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: setNodeServiceFactor out of range");
+    RunState &rs = active("setNodeServiceFactor", {node});
     auto d = static_cast<std::size_t>(node);
-    rs_->engines[d]->setServiceFactor(factor);
-    rs_->serviceFactor[d] = factor;
+    rs.engines[d]->setServiceFactor(factor);
+    rs.serviceFactor[d] = factor;
     stats_.inc(factor == 1.0 ? "straggler_heals" : "stragglers");
 }
 
 void
 ClusterSimulator::setNodeFlakyProbability(int node, double p)
 {
-    if (!rs_)
-        sim::panic("cluster: setNodeFlakyProbability outside an "
-                   "active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: setNodeFlakyProbability out of range");
+    RunState &rs = active("setNodeFlakyProbability", {node});
     if (p < 0.0 || p > 1.0)
         sim::fatal("cluster: flaky probability must be in [0, 1]");
-    rs_->flakyProb[static_cast<std::size_t>(node)] = p;
+    rs.flakyProb[static_cast<std::size_t>(node)] = p;
     stats_.inc(p == 0.0 ? "flaky_heals" : "flaky_windows");
 }
 
 void
 ClusterSimulator::setNodeLinkFactor(int node, double factor)
 {
-    if (!rs_)
-        sim::panic("cluster: setNodeLinkFactor outside an active run");
-    if (node < 0 || node >= cfg_.nodes)
-        sim::fatal("cluster: setNodeLinkFactor out of range");
-    if (!rs_->fabric)
+    RunState &rs = active("setNodeLinkFactor", {node});
+    if (!rs.fabric)
         sim::fatal("cluster: setNodeLinkFactor without the fabric");
-    rs_->fabric->degradeNode(node, factor);
+    rs.fabric->degradeNode(node, factor);
     stats_.inc(factor == 1.0 ? "link_heals" : "link_degrades");
 }
 
@@ -1305,11 +1273,10 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
     }
     const FaultPolicyConfig &policy = cfg_.faultPolicy;
     bool budgetOk = policy.retryBudget < 0 ||
-        rs.retryBudgetUsed < policy.retryBudget;
+        rs.retried < policy.retryBudget;
     if (policy.retriesEnabled() && request.attempt < policy.retryMax &&
         budgetOk) {
         ++request.attempt;
-        ++rs.retryBudgetUsed;
         ++rs.retried;
         // Exponential backoff: base * 2^(attempt-1). ldexp keeps the
         // doubling exact.
@@ -1317,7 +1284,9 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
                                     request.attempt - 1);
         scheduleControlIn(
             sim::fromSeconds(backoff),
-            [this, request]() { redispatch(request); },
+            // A retry re-dispatches with the original arrival stamp;
+            // its target can be flaky too, burning another attempt.
+            [this, request]() mutable { dispatch(std::move(request)); },
             "cluster.retry");
         return;
     }
@@ -1326,10 +1295,7 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
         RunState::HedgePair &h = it->second;
         if (h.dupDone) {
             // The duplicate already served it: a hedge win, not a loss.
-            ++rs.hedgeWon;
-            ++rs.hedgeCredits;
-            latency_.record(h.dupLatency);
-            stats_.inc("hedge_wins");
+            creditHedgeWin(h.dupLatency);
             rs.hedges.erase(it);
             return;
         }
@@ -1344,32 +1310,14 @@ ClusterSimulator::handleDisplaced(EngineRequest request)
     return;
 }
 
-/** A retry lands: re-dispatch with the original arrival timestamp. */
+/** A hedge whose duplicate finished first: a completion no engine
+ *  counted (counters() folds it in), at the duplicate's latency. */
 void
-ClusterSimulator::redispatch(EngineRequest request)
+ClusterSimulator::creditHedgeWin(double latency_seconds)
 {
-    RunState &rs = *rs_;
-    int n = pickNode(request.expert);
-    auto ns = static_cast<std::size_t>(n);
-    // The retry target can be flaky too — the request cycles back
-    // into the displaced path and burns another attempt.
-    if (rs.flakyProb[ns] > 0.0 &&
-        rs.faultRng->uniformDouble() < rs.flakyProb[ns]) {
-        stats_.inc("flaky_failures");
-        handleDisplaced(std::move(request));
-        return;
-    }
-    if (rs.fabric) {
-        // The retry crosses the fabric again from the hub, with its
-        // original arrival timestamp intact.
-        forwardRequest(n, std::move(request));
-        return;
-    }
-    ++rs.dispatchedTo[ns];
-    // Retries fire at control barriers (threads > 1 workers are
-    // parked), so direct injection is safe in both modes — the
-    // drainNode() re-dispatch precedent.
-    rs.engines[ns]->injectAt(std::move(request));
+    ++rs_->hedgeWon;
+    latency_.record(latency_seconds);
+    stats_.inc("hedge_wins");
 }
 
 /**
@@ -1431,19 +1379,7 @@ ClusterSimulator::policyTick()
     }
     resolveHedges();
     if (policy.brownoutDepth > 0.0) {
-        std::int64_t depth = 0;
-        int live = 0;
-        for (int n = 0; n < cfg_.nodes; ++n) {
-            auto ns = static_cast<std::size_t>(n);
-            if (!rs.live[ns])
-                continue;
-            depth += static_cast<std::int64_t>(
-                rs.engines[ns]->queueDepth());
-            ++live;
-        }
-        double mean = live > 0
-            ? static_cast<double>(depth) / static_cast<double>(live)
-            : 0.0;
+        double mean = rs.meanLiveQueueDepth();
         // Hysteresis: enter above the threshold, exit below half of
         // it, so the shed decision doesn't flap every tick.
         if (rs.brownoutActive) {
@@ -1506,10 +1442,7 @@ ClusterSimulator::resolveHedges()
              rs.engines[static_cast<std::size_t>(h.primaryNode)]
                  ->cancelQueued(it->first));
         if (win) {
-            ++rs.hedgeWon;
-            ++rs.hedgeCredits;
-            latency_.record(h.dupLatency);
-            stats_.inc("hedge_wins");
+            creditHedgeWin(h.dupLatency);
             it = rs.hedges.erase(it);
         } else {
             ++it;
@@ -1520,19 +1453,14 @@ ClusterSimulator::resolveHedges()
 bool
 ClusterSimulator::migrateExpert(int expert, int from, int to)
 {
-    if (!rs_)
-        sim::panic("cluster: migrateExpert outside an active run");
+    RunState &rs = active("migrateExpert", {from, to});
     if (expert < 0 || expert >= cfg_.node.numExperts)
         sim::fatal("cluster: migrateExpert expert out of range");
-    if (from < 0 || from >= cfg_.nodes || to < 0 || to >= cfg_.nodes)
-        sim::fatal("cluster: migrateExpert node out of range");
     if (from == to)
         return false;
-    RunState &rs = *rs_;
     auto e = static_cast<std::size_t>(expert);
-    std::vector<int> &hosts = rs.placement.hostsOfExpert[e];
-    auto hostIt = std::find(hosts.begin(), hosts.end(), from);
-    if (hostIt == hosts.end())
+    const std::vector<int> &hosts = rs.placement.hostsOfExpert[e];
+    if (std::find(hosts.begin(), hosts.end(), from) == hosts.end())
         return false; // not hosted where we'd take it from
     if (std::find(hosts.begin(), hosts.end(), to) != hosts.end())
         return false; // already hosted at the target
@@ -1542,121 +1470,100 @@ ClusterSimulator::migrateExpert(int expert, int from, int to)
         rs.nodeCosts[t].capacityBytes)
         return false; // target DDR cannot take the expert
 
-    if (rs.fabric) {
-        // The payload crosses the fabric, then pays the target's
-        // DDR-write time (the DmaEngine idle estimate, stretched by
-        // any open dma-stall fault) before the placement flips. The
-        // target's bytes are reserved up front so concurrent
-        // migrations cannot oversubscribe it; an infeasible flip
-        // (placement changed mid-flight) refunds the reservation.
-        rs.placedBytesNow[t] += bytes;
-        ++rs.migrationsInFlight;
-        rs.fabric->sendTransfer(
-            from, to, bytes, [this, expert, from, to, bytes]() {
-                RunState &rsc = *rs_;
-                auto tc = static_cast<std::size_t>(to);
-                sim::Tick ddr = sim::saturatingTicks(
-                    static_cast<double>(
-                        rsc.engines[tc]->memorySystem().estimateLoad(
-                            bytes)) *
-                    rsc.dmaFactor[tc]);
-                if (ddr >= sim::kMaxTick - rsc.eq.now())
-                    sim::fatal("cluster: dma-stall factor " +
-                               util::formatGeneral(rsc.dmaFactor[tc]) +
-                               " on node " + std::to_string(to) +
-                               " stretches a migration's DDR write past "
-                               "the end of simulated time (~106 days)");
-                scheduleControlAt(
-                    rsc.eq.now() + ddr,
-                    [this, expert, from, to, bytes]() {
-                        RunState &rsf = *rs_;
-                        auto ef = static_cast<std::size_t>(expert);
-                        auto ff = static_cast<std::size_t>(from);
-                        auto tf = static_cast<std::size_t>(to);
-                        --rsf.migrationsInFlight;
-                        std::vector<int> &hosts =
-                            rsf.placement.hostsOfExpert[ef];
-                        auto hIt = std::find(hosts.begin(),
-                                             hosts.end(), from);
-                        bool already =
-                            std::find(hosts.begin(), hosts.end(),
-                                      to) != hosts.end();
-                        if (hIt == hosts.end() || already) {
-                            // The placement moved under the transfer
-                            // (a replication change raced it): drop
-                            // the copy and refund the reservation.
-                            rsf.placedBytesNow[tf] -= bytes;
-                            stats_.inc("migration_aborts");
-                            return;
-                        }
-                        *hIt = to;
-                        std::vector<int> &fx =
-                            rsf.placement.expertsOfNode[ff];
-                        fx.erase(std::find(fx.begin(), fx.end(),
-                                           expert));
-                        rsf.placement.expertsOfNode[tf].push_back(
-                            expert);
-                        rsf.placedBytesNow[ff] -= bytes;
-                        stats_.inc("expert_migrations");
-                    },
-                    "cluster.migrate_commit");
-            });
+    // The target's bytes are reserved up front so concurrent
+    // migrations cannot oversubscribe it.
+    rs.placedBytesNow[t] += bytes;
+    if (!rs.fabric) {
+        commitMigration(expert, from, to, bytes);
         return true;
     }
+    // The payload crosses the fabric, then pays the target's DDR-write
+    // time (the DmaEngine idle estimate, stretched by any open
+    // dma-stall fault) before the placement flips.
+    ++rs.migrationsInFlight;
+    rs.fabric->sendTransfer(
+        from, to, bytes, [this, expert, from, to, bytes]() {
+            RunState &rsc = *rs_;
+            auto tc = static_cast<std::size_t>(to);
+            sim::Tick ddr = sim::saturatingTicks(
+                static_cast<double>(
+                    rsc.engines[tc]->memorySystem().estimateLoad(bytes)) *
+                rsc.dmaFactor[tc]);
+            if (ddr >= sim::kMaxTick - rsc.eq.now())
+                sim::fatal("cluster: dma-stall factor " +
+                           util::formatGeneral(rsc.dmaFactor[tc]) +
+                           " on node " + std::to_string(to) +
+                           " stretches a migration's DDR write past "
+                           "the end of simulated time (~106 days)");
+            scheduleControlAt(
+                rsc.eq.now() + ddr,
+                [this, expert, from, to, bytes]() {
+                    --rs_->migrationsInFlight;
+                    commitMigration(expert, from, to, bytes);
+                },
+                "cluster.migrate_commit");
+        });
+    return true;
+}
 
-    *hostIt = to;
+/**
+ * Flip @p expert from @p from to @p to, whose @p bytes are reserved;
+ * if a replication change raced a fabric transfer, drop the copy and
+ * refund the reservation instead.
+ */
+void
+ClusterSimulator::commitMigration(int expert, int from, int to,
+                                  double bytes)
+{
+    RunState &rs = *rs_;
     auto f = static_cast<std::size_t>(from);
+    auto t = static_cast<std::size_t>(to);
+    std::vector<int> &hosts =
+        rs.placement.hostsOfExpert[static_cast<std::size_t>(expert)];
+    auto hostIt = std::find(hosts.begin(), hosts.end(), from);
+    if (hostIt == hosts.end() ||
+        std::find(hosts.begin(), hosts.end(), to) != hosts.end()) {
+        rs.placedBytesNow[t] -= bytes;
+        stats_.inc("migration_aborts");
+        return;
+    }
+    *hostIt = to;
     std::vector<int> &fromExperts = rs.placement.expertsOfNode[f];
     fromExperts.erase(
         std::find(fromExperts.begin(), fromExperts.end(), expert));
     rs.placement.expertsOfNode[t].push_back(expert);
     rs.placedBytesNow[f] -= bytes;
-    rs.placedBytesNow[t] += bytes;
     stats_.inc("expert_migrations");
-    return true;
 }
 
 bool
 ClusterSimulator::setReplication(int expert, int replicas)
 {
-    if (!rs_)
-        sim::panic("cluster: setReplication outside an active run");
+    RunState &rs = active("setReplication");
     if (expert < 0 || expert >= cfg_.node.numExperts)
         sim::fatal("cluster: setReplication expert out of range");
-    RunState &rs = *rs_;
     int want = std::max(1, std::min(replicas, cfg_.nodes));
     auto e = static_cast<std::size_t>(expert);
     std::vector<int> &hosts = rs.placement.hostsOfExpert[e];
     double bytes = rs.expertBytes[e];
     bool changed = false;
 
-    auto hosted = [&hosts](int n) {
-        return std::find(hosts.begin(), hosts.end(), n) != hosts.end();
+    // One deterministic order for both directions: grow onto the
+    // smallest key (live, emptiest, lowest id), shrink off the largest
+    // (drained, fullest, highest id).
+    auto key = [&rs](int n) {
+        auto ns = static_cast<std::size_t>(n);
+        return std::make_tuple(!rs.live[ns],
+                               rs.placement.expertsOfNode[ns].size(), n);
     };
-
     while (static_cast<int>(hosts.size()) < want) {
-        // Grow: prefer live nodes, then the emptiest, then lowest id —
-        // a deterministic order so seeded runs replay exactly.
         int pick = -1;
         for (int n = 0; n < cfg_.nodes; ++n) {
             auto ns = static_cast<std::size_t>(n);
-            if (hosted(n))
-                continue;
-            if (rs.placedBytesNow[ns] + bytes >
-                rs.nodeCosts[ns].capacityBytes)
-                continue;
-            if (pick < 0) {
-                pick = n;
-                continue;
-            }
-            auto ps = static_cast<std::size_t>(pick);
-            if (rs.live[ns] != rs.live[ps]) {
-                if (rs.live[ns])
-                    pick = n;
-                continue;
-            }
-            if (rs.placement.expertsOfNode[ns].size() <
-                rs.placement.expertsOfNode[ps].size())
+            if (std::find(hosts.begin(), hosts.end(), n) == hosts.end() &&
+                rs.placedBytesNow[ns] + bytes <=
+                    rs.nodeCosts[ns].capacityBytes &&
+                (pick < 0 || key(n) < key(pick)))
                 pick = n;
         }
         if (pick < 0)
@@ -1669,24 +1576,9 @@ ClusterSimulator::setReplication(int expert, int replicas)
         changed = true;
     }
     while (static_cast<int>(hosts.size()) > want && hosts.size() > 1) {
-        // Shrink: prefer drained nodes, then the fullest, then
-        // highest id.
-        int pick = hosts.front();
-        for (int n : hosts) {
-            auto ns = static_cast<std::size_t>(n);
-            auto ps = static_cast<std::size_t>(pick);
-            if (rs.live[ns] != rs.live[ps]) {
-                if (!rs.live[ns])
-                    pick = n;
-                continue;
-            }
-            if (rs.placement.expertsOfNode[ns].size() >
-                    rs.placement.expertsOfNode[ps].size() ||
-                (rs.placement.expertsOfNode[ns].size() ==
-                     rs.placement.expertsOfNode[ps].size() &&
-                 n > pick))
-                pick = n;
-        }
+        int pick = *std::max_element(
+            hosts.begin(), hosts.end(),
+            [&key](int a, int b) { return key(a) < key(b); });
         auto ps = static_cast<std::size_t>(pick);
         hosts.erase(std::find(hosts.begin(), hosts.end(), pick));
         std::vector<int> &ex = rs.placement.expertsOfNode[ps];
@@ -1703,28 +1595,39 @@ ClusterSimulator::setReplication(int expert, int replicas)
 void
 ClusterSimulator::setRateFactor(double factor)
 {
-    if (!rs_)
-        sim::panic("cluster: setRateFactor outside an active run");
-    if (factor <= 0.0)
-        sim::fatal("cluster: rate factor must be positive");
-    rs_->workload->setRateFactor(factor);
+    RunState &rs = active("setRateFactor");
+    if (!(factor > 0.0) || !std::isfinite(factor))
+        sim::fatal("cluster: rate factor must be a positive finite "
+                   "number");
+    rs.workload->setRateFactor(factor);
     stats_.inc("rate_overrides");
+}
+
+ClusterSimulator::RunState &
+ClusterSimulator::active(const char *what,
+                         std::initializer_list<int> nodes) const
+{
+    if (!rs_)
+        sim::panic(std::string("cluster: ") + what +
+                   " outside an active run");
+    for (int n : nodes)
+        if (n < 0 || n >= cfg_.nodes)
+            sim::fatal(std::string("cluster: ") + what + " node " +
+                       std::to_string(n) + " out of range [0, " +
+                       std::to_string(cfg_.nodes) + ")");
+    return *rs_;
 }
 
 int
 ClusterSimulator::liveNodes() const
 {
-    if (!rs_)
-        sim::panic("cluster: liveNodes outside an active run");
-    return rs_->liveCount;
+    return active("liveNodes").liveCount();
 }
 
 bool
 ClusterSimulator::idle() const
 {
-    if (!rs_)
-        sim::panic("cluster: idle outside an active run");
-    const RunState &rs = *rs_;
+    const RunState &rs = active("idle");
     if (rs.workload->emitted() != rs.workload->plannedRequests())
         return false;
     if (rs.fabric &&
@@ -1743,115 +1646,100 @@ ClusterSimulator::idle() const
 sim::EventQueue &
 ClusterSimulator::eventQueue()
 {
-    if (!rs_)
-        sim::panic("cluster: eventQueue outside an active run");
-    return rs_->eq;
+    return active("eventQueue").eq;
 }
 
 const ExpertPlacement &
 ClusterSimulator::placement() const
 {
-    if (!rs_)
-        sim::panic("cluster: placement outside an active run");
-    return rs_->placement;
+    return active("placement").placement;
+}
+
+Counters
+ClusterSimulator::RunState::counters() const
+{
+    Counters c;
+    c.arrivals = workload->emitted();
+    // The hub ledger folds into the cluster totals here and nowhere
+    // else: every hedge win is a completion no engine counted, and a
+    // brown-out shed never reached an engine.
+    c.completions = hedgeWon;
+    c.shed = brownoutShed;
+    c.lost = lost;
+    c.retried = retried;
+    c.hedged = hedged;
+    c.hedgeWon = hedgeWon;
+    c.dispatched = dispatchedTo;
+    for (const std::unique_ptr<ServingEngine> &e : engines) {
+        c.completed.push_back(e->completedCount());
+        c.misses.push_back(e->missCount());
+        c.nodeShed.push_back(e->shedCount());
+        c.completions += e->completedCount();
+        c.shed += e->shedCount();
+    }
+    c.expertHits = expertHits;
+    for (int l = 0; fabric && l < fabric->network().linkCount(); ++l)
+        c.linkBusy.push_back(fabric->network().linkBusyTicks(l));
+    return c;
 }
 
 MetricsSnapshot
 ClusterSimulator::snapshot()
 {
-    if (!rs_)
-        sim::panic("cluster: snapshot outside an active run");
-    RunState &rs = *rs_;
+    RunState &rs = active("snapshot");
     accrueNodeSeconds();
+    Counters now = rs.counters();
+    Counters d = now - rs.last;
+    rs.last = std::move(now);
+    const sim::Tick window = rs.eq.now() - rs.snapTick;
+    rs.snapTick = rs.eq.now();
 
     MetricsSnapshot s;
     s.atSeconds = sim::toSeconds(rs.eq.now());
-    s.windowSeconds = sim::toSeconds(rs.eq.now() - rs.snapTick);
+    s.windowSeconds = sim::toSeconds(window);
     s.nodeSecondsLive = rs.nodeSecondsLive;
-
-    std::int64_t arrivals = rs.workload->emitted();
-    std::int64_t completions = 0, shed = 0;
-    std::int64_t liveDepth = 0;
-    s.nodes.resize(static_cast<std::size_t>(cfg_.nodes));
-    for (int n = 0; n < cfg_.nodes; ++n) {
-        auto ns = static_cast<std::size_t>(n);
-        ServingEngine &e = *rs.engines[ns];
-        NodeSnapshot &node = s.nodes[ns];
-        node.node = n;
-        node.live = rs.live[ns] != 0;
-        node.wasDrained = rs.wasDrained[ns] != 0;
-        node.queueDepth = e.queueDepth();
-        node.outstanding = e.outstanding();
-        node.dispatched = rs.dispatchedTo[ns] - rs.baseDispatched[ns];
-        node.completed = e.completedCount() - rs.baseCompleted[ns];
-        node.misses = e.missCount() - rs.baseMisses[ns];
-        node.shed = e.shedCount() - rs.baseShedNode[ns];
-        completions += e.completedCount();
-        shed += e.shedCount();
-        if (node.live) {
-            ++s.liveNodes;
-            liveDepth += node.queueDepth;
-        }
-        rs.baseDispatched[ns] = rs.dispatchedTo[ns];
-        rs.baseCompleted[ns] = e.completedCount();
-        rs.baseMisses[ns] = e.missCount();
-        rs.baseShedNode[ns] = e.shedCount();
-    }
-    // Hub-side chaos accounting folds into the cluster totals: hedge
-    // wins are completions credited at the hub (never counted by an
-    // engine), brown-out sheds never reached an engine.
-    completions += rs.hedgeCredits;
-    shed += rs.brownoutShed;
-    s.arrivals = arrivals - rs.baseArrivals;
-    s.completions = completions - rs.baseCompletions;
-    s.shed = shed - rs.baseShed;
-    s.lost = rs.lost - rs.baseLost;
-    s.retried = rs.retried - rs.baseRetried;
-    s.hedged = rs.hedged - rs.baseHedged;
-    s.hedgeWon = rs.hedgeWon - rs.baseHedgeWon;
-    rs.baseLost = rs.lost;
-    rs.baseRetried = rs.retried;
-    rs.baseHedged = rs.hedged;
-    rs.baseHedgeWon = rs.hedgeWon;
+    s.arrivals = d.arrivals;
+    s.completions = d.completions;
+    s.shed = d.shed;
+    s.lost = d.lost;
+    s.retried = d.retried;
+    s.hedged = d.hedged;
+    s.hedgeWon = d.hedgeWon;
     if (s.windowSeconds > 0.0) {
         s.arrivalRatePerSec =
             static_cast<double>(s.arrivals) / s.windowSeconds;
         s.completionRatePerSec =
             static_cast<double>(s.completions) / s.windowSeconds;
     }
-    if (s.liveNodes > 0)
-        s.meanQueueDepthPerLiveNode = static_cast<double>(liveDepth) /
-            static_cast<double>(s.liveNodes);
 
-    s.expertHits.resize(rs.expertHits.size());
-    for (std::size_t e = 0; e < rs.expertHits.size(); ++e) {
-        s.expertHits[e] = rs.expertHits[e] - rs.baseExpertHits[e];
-        rs.baseExpertHits[e] = rs.expertHits[e];
+    s.liveNodes = rs.liveCount();
+    s.meanQueueDepthPerLiveNode = rs.meanLiveQueueDepth();
+    s.nodes.resize(static_cast<std::size_t>(cfg_.nodes));
+    for (int n = 0; n < cfg_.nodes; ++n) {
+        auto ns = static_cast<std::size_t>(n);
+        const ServingEngine &e = *rs.engines[ns];
+        s.nodes[ns] = {n, rs.live[ns] != 0, rs.wasDrained[ns] != 0,
+                       static_cast<std::int64_t>(e.queueDepth()),
+                       e.outstanding(), d.dispatched[ns], d.completed[ns],
+                       d.misses[ns], d.nodeShed[ns]};
     }
+    s.expertHits = std::move(d.expertHits);
 
     if (rs.fabric) {
         const sim::Network &net = rs.fabric->network();
-        sim::Tick window = rs.eq.now() - rs.snapTick;
-        s.links.resize(static_cast<std::size_t>(net.linkCount()));
+        s.links.resize(d.linkBusy.size());
         for (int l = 0; l < net.linkCount(); ++l) {
             auto ls = static_cast<std::size_t>(l);
             s.links[ls].from = net.nodeLabel(net.linkFrom(l));
             s.links[ls].to = net.nodeLabel(net.linkTo(l));
-            sim::Tick busy = net.linkBusyTicks(l) - rs.baseLinkBusy[ls];
             // Busy time books at transmit start, so a flit spanning
             // the window edge can push the ratio past 1; clamp.
             s.links[ls].utilization = window > 0
-                ? std::min(1.0, static_cast<double>(busy) /
+                ? std::min(1.0, static_cast<double>(d.linkBusy[ls]) /
                                     static_cast<double>(window))
                 : 0.0;
-            rs.baseLinkBusy[ls] = net.linkBusyTicks(l);
         }
     }
-
-    rs.baseArrivals = arrivals;
-    rs.baseCompletions = completions;
-    rs.baseShed = shed;
-    rs.snapTick = rs.eq.now();
     return s;
 }
 
@@ -1868,10 +1756,6 @@ ClusterSimulator::run()
             std::make_unique<ClusterController>(*this, cfg_.controller);
         controller_->start();
     }
-    if (rs_->threads > 1)
-        runParallel();
-    else
-        rs_->eq.run();
     return finish();
 }
 
@@ -1932,12 +1816,12 @@ ClusterSimulator::runParallel()
                     sh.eq.schedule(
                         p.tick,
                         [&sh]() {
-                            RunState::Shard::Pending &q =
-                                sh.inbox[sh.inboxNext++];
-                            if (q.prebuilt)
-                                sh.engine->injectAt(std::move(q.built));
+                            auto &q = sh.inbox[sh.inboxNext++].request;
+                            if (auto *r = std::get_if<TrafficRequest>(&q))
+                                sh.engine->inject(*r);
                             else
-                                sh.engine->inject(q.request);
+                                sh.engine->injectAt(
+                                    std::move(std::get<EngineRequest>(q)));
                         },
                         "cluster.deliver");
                 }
@@ -2045,6 +1929,7 @@ ClusterSimulator::runParallel()
         for (RunState::Shard &sh : rs.shards)
             sh.eq.advanceTo(syncT);
         rs.eq.advanceTo(syncT);
+        rs.inControl = true;
         while (!rs.agenda.empty() && rs.agenda.front().when == syncT) {
             std::pop_heap(rs.agenda.begin(), rs.agenda.end(),
                           RunState::agendaLater);
@@ -2052,6 +1937,7 @@ ClusterSimulator::runParallel()
             rs.agenda.pop_back();
             entry.cb();
         }
+        rs.inControl = false;
     }
 
     // Land the hub clock on the run's true end time (the serial path's
@@ -2070,10 +1956,11 @@ ClusterSimulator::runParallel()
 ClusterResult
 ClusterSimulator::finish()
 {
-    if (!rs_)
-        sim::panic("cluster: finish without begin");
-    RunState &rs = *rs_;
-    const ServingConfig &base = cfg_.node;
+    RunState &rs = active("finish");
+    if (rs.threads > 1)
+        runParallel();
+    else
+        rs.eq.run();
     const int N = cfg_.nodes;
     ClusterResult result;
 
@@ -2085,12 +1972,11 @@ ClusterSimulator::finish()
     // quantiles come out bit-identical to the serial interleaved
     // recording (same sample multiset, lazily sorted); running means
     // can differ in the last ulp from the different summation order.
-    if (rs.threads > 1) {
+    if (rs.threads > 1)
         for (const std::unique_ptr<ServingEngine> &e : rs.engines) {
             latency_.merge(e->latency());
             stalls_.merge(e->stalls());
         }
-    }
 
     // Settle the hedge ledger's tail: completions that landed after
     // the last policy barrier, then any pair whose primary was lost
@@ -2102,104 +1988,52 @@ ClusterSimulator::finish()
             ++rs.lost;
     rs.hedges.clear();
 
-    std::int64_t completed = 0, batches = 0, misses = 0, shedTotal = 0;
-    std::int64_t specSteps = 0;
-    double occupancyTotal = 0.0, depthIntegral = 0.0;
-    sim::Tick lastCompletion = 0;
-    for (int n = 0; n < N; ++n) {
-        ServingEngine &e = *rs.engines[static_cast<std::size_t>(n)];
-        sim::simAssert(e.queueDepth() == 0 && !e.busy(),
-                       "cluster: event stream drained with work pending");
-        sim::simAssert(e.memorySystem().queuedLoads() == 0 &&
-                           e.memorySystem().loadsInFlight() == 0,
-                       "cluster: DMA queue drained with transfers pending");
-        completed += e.completedCount();
-        batches += e.batchCount();
-        misses += e.missCount();
-        shedTotal += e.shedCount();
-        specSteps += e.specStepsTotal();
-        occupancyTotal += e.occupancyTotal();
-        depthIntegral += e.depthIntegral();
-        lastCompletion = std::max(lastCompletion, e.lastCompletion());
-    }
-    // Hub-side ledger: hedge wins are completions the engines never
-    // counted; brown-out sheds never reached an engine; lost requests
-    // are the only sanctioned leak and they are counted, not silent.
-    completed += rs.hedgeCredits;
-    shedTotal += rs.brownoutShed;
-    sim::simAssert(rs.workload->emitted() ==
-                       rs.workload->plannedRequests(),
-                   "cluster: workload did not emit its full budget");
-    sim::simAssert(completed + shedTotal + rs.lost ==
-                       rs.workload->emitted(),
+    // The totals come from the same counters a snapshot reads.
+    sim::simAssert(idle(), "cluster: event stream drained with work "
+                           "unemitted, queued, loading or on the wire");
+    const Counters total = rs.counters();
+    RunTotals t;
+    for (const std::unique_ptr<ServingEngine> &e : rs.engines)
+        t.add(*e);
+    t.completed = total.completions;
+    t.shed = total.shed;
+    t.lost = total.lost;
+    t.retried = total.retried;
+    t.hedged = total.hedged;
+    t.hedgeWon = total.hedgeWon;
+    // Shard events (including the mailbox delivery events, which have
+    // no serial counterpart) count toward the run's event total.
+    t.eventsExecuted = rs.eq.executedCount();
+    for (const RunState::Shard &sh : rs.shards)
+        t.eventsExecuted += sh.eq.executedCount();
+    sim::simAssert(total.completions + total.shed + total.lost ==
+                       total.arrivals,
                    "cluster: arrivals != completions + shed + lost "
                    "at drain");
 
-    double makespan = sim::toSeconds(
-        lastCompletion - std::max<sim::Tick>(rs.firstArrival, 0));
-
-    StreamMetrics &m = result.stream;
-    m.p50LatencySeconds = latency_.quantile(0.50);
-    m.p95LatencySeconds = latency_.quantile(0.95);
-    m.p99LatencySeconds = latency_.quantile(0.99);
-    m.meanLatencySeconds = latency_.mean();
-    m.maxLatencySeconds = latency_.max();
-    m.completed = completed;
-    m.batches = batches;
-    m.meanBatchOccupancy = batches > 0
-        ? occupancyTotal / static_cast<double>(batches)
-        : 0.0;
-    m.makespanSeconds = makespan;
-    if (makespan > 0.0) {
-        m.throughputRequestsPerSec =
-            static_cast<double>(completed) / makespan;
-        m.throughputTokensPerSec = m.throughputRequestsPerSec *
-            static_cast<double>(base.outputTokens);
-        m.meanQueueDepth = depthIntegral / makespan;
-    }
-    m.meanSwitchStallSeconds = stalls_.mean();
-    m.p95SwitchStallSeconds = stalls_.quantile(0.95);
-    if (base.specDecode.enabled) {
-        m.specSteps = specSteps;
-        m.specTokensPerStep = specSteps > 0
-            ? static_cast<double>(completed) *
-                static_cast<double>(base.outputTokens) /
-                static_cast<double>(specSteps)
-            : 0.0;
-    }
-    m.eventsExecuted = rs.eq.executedCount();
-    // Shard events (including the mailbox delivery events, which have
-    // no serial counterpart) count toward the run's event total.
-    for (const RunState::Shard &sh : rs.shards)
-        m.eventsExecuted += sh.eq.executedCount();
-    m.shed = shedTotal;
-    m.shedRate = completed + shedTotal > 0
-        ? static_cast<double>(shedTotal) /
-            static_cast<double>(completed + shedTotal)
-        : 0.0;
-    m.lost = rs.lost;
-    m.retried = rs.retried;
-    m.hedged = rs.hedged;
-    m.hedgeWon = rs.hedgeWon;
-
-    result.missRate = completed > 0
-        ? static_cast<double>(misses) / static_cast<double>(completed)
+    const sim::Tick span =
+        t.lastCompletion - std::max<sim::Tick>(rs.firstArrival, 0);
+    const double makespan = sim::toSeconds(span);
+    result.stream =
+        streamMetrics(t, latency_, stalls_, makespan, cfg_.node);
+    result.missRate = t.completed > 0
+        ? static_cast<double>(t.misses) / static_cast<double>(t.completed)
         : 0.0;
 
     std::int64_t maxCompleted = 0;
     result.nodes.resize(static_cast<std::size_t>(N));
     for (int n = 0; n < N; ++n) {
         auto ns = static_cast<std::size_t>(n);
-        ServingEngine &e = *rs.engines[ns];
+        const ServingEngine &e = *rs.engines[ns];
         ClusterNodeMetrics &nm = result.nodes[ns];
         nm.node = n;
         nm.drained = rs.wasDrained[ns] != 0;
-        nm.dispatched = rs.dispatchedTo[ns];
+        nm.dispatched = total.dispatched[ns];
         nm.redispatched = rs.redispatchedFrom[ns];
-        nm.completed = e.completedCount();
+        nm.completed = total.completed[ns];
         nm.batches = e.batchCount();
-        nm.misses = e.missCount();
-        nm.shed = e.shedCount();
+        nm.misses = total.misses[ns];
+        nm.shed = total.nodeShed[ns];
         nm.missRate = nm.completed > 0
             ? static_cast<double>(nm.misses) /
                 static_cast<double>(nm.completed)
@@ -2222,25 +2056,17 @@ ClusterSimulator::finish()
                 rs.expertBytes[static_cast<std::size_t>(ex)];
         nm.peakResidentBytes = e.peakResidentBytes();
 
-        m.maxQueueDepth = std::max(m.maxQueueDepth, e.queueDepthMax());
-        m.prefetchesIssued += static_cast<std::int64_t>(
-            e.stats().get("prefetches_issued"));
-        m.prefetchHits += static_cast<std::int64_t>(
-            e.stats().get("prefetch_hits"));
-        m.prefetchesCancelled += static_cast<std::int64_t>(
-            e.stats().get("prefetches_cancelled"));
-
         maxCompleted = std::max(maxCompleted, nm.completed);
+        result.redispatched += nm.redispatched;
         result.placedBytesTotal += nm.placedBytes;
         result.peakResidentBytesTotal += nm.peakResidentBytes;
     }
     double meanCompleted =
-        static_cast<double>(completed) / static_cast<double>(N);
+        static_cast<double>(t.completed) / static_cast<double>(N);
     result.loadImbalance = meanCompleted > 0.0
         ? static_cast<double>(maxCompleted) / meanCompleted
         : 1.0;
     result.expertReplicas = rs.placement.replicas;
-    result.redispatched = rs.redispatchedTotal;
     result.nodeSecondsLive = rs.nodeSecondsLive;
     result.nodeHours = rs.nodeSecondsLive / 3600.0;
     if (controller_) {
@@ -2251,67 +2077,51 @@ ClusterSimulator::finish()
     result.faultsInjected = faults_ ? faults_->injectedCount() : 0;
     result.crashes = rs.crashes;
 
+    auto count = [this](const char *name, std::int64_t value) {
+        stats_.set(name, static_cast<double>(value));
+    };
     if (rs.fabric) {
-        sim::simAssert(rs.fabric->inFlight() == 0,
-                       "cluster: event stream drained with network "
-                       "messages in flight");
-        sim::simAssert(rs.migrationsInFlight == 0,
-                       "cluster: event stream drained with migrations "
-                       "in flight");
         const sim::Network &net = rs.fabric->network();
         result.networkMessages = net.messagesDelivered();
         result.networkFlits = net.flitsDelivered();
         result.networkCreditStalls = net.creditStalls();
-        sim::Tick span =
-            lastCompletion - std::max<sim::Tick>(rs.firstArrival, 0);
-        if (span > 0 && net.linkCount() > 0) {
+        if (span > 0 && !total.linkBusy.empty()) {
             double maxU = 0.0, sumU = 0.0;
-            for (int l = 0; l < net.linkCount(); ++l) {
-                double u = static_cast<double>(net.linkBusyTicks(l)) /
+            for (sim::Tick busy : total.linkBusy) {
+                double u = static_cast<double>(busy) /
                     static_cast<double>(span);
                 maxU = std::max(maxU, u);
                 sumU += u;
             }
             result.networkMaxLinkUtilization = maxU;
             result.networkMeanLinkUtilization =
-                sumU / static_cast<double>(net.linkCount());
+                sumU / static_cast<double>(total.linkBusy.size());
         }
-        stats_.set("network_messages",
-                   static_cast<double>(result.networkMessages));
-        stats_.set("network_flits",
-                   static_cast<double>(result.networkFlits));
-        stats_.set("network_credit_stalls",
-                   static_cast<double>(result.networkCreditStalls));
+        count("network_messages", result.networkMessages);
+        count("network_flits", result.networkFlits);
+        count("network_credit_stalls", result.networkCreditStalls);
         stats_.set("network_max_link_utilization",
                    result.networkMaxLinkUtilization);
     }
 
-    stats_.set("completed", static_cast<double>(completed));
-    stats_.set("batches", static_cast<double>(batches));
-    stats_.set("misses", static_cast<double>(misses));
-    stats_.set("shed", static_cast<double>(shedTotal));
-    stats_.set("redispatched",
-               static_cast<double>(rs.redispatchedTotal));
-    stats_.set("events_executed",
-               static_cast<double>(m.eventsExecuted));
+    count("completed", t.completed);
+    count("batches", t.batches);
+    count("misses", t.misses);
+    count("shed", t.shed);
+    count("redispatched", result.redispatched);
+    count("events_executed", static_cast<std::int64_t>(t.eventsExecuted));
     stats_.set("load_imbalance", result.loadImbalance);
-    stats_.set("expert_replicas",
-               static_cast<double>(rs.placement.replicas));
+    count("expert_replicas", rs.placement.replicas);
     stats_.set("node_seconds_live", rs.nodeSecondsLive);
-    stats_.set("controller_ticks",
-               static_cast<double>(result.controllerTicks));
-    stats_.set("controller_actions",
-               static_cast<double>(result.controllerActions));
-    stats_.set("lost", static_cast<double>(rs.lost));
-    stats_.set("retried", static_cast<double>(rs.retried));
-    stats_.set("retry_budget_used",
-               static_cast<double>(rs.retryBudgetUsed));
-    stats_.set("hedge_won", static_cast<double>(rs.hedgeWon));
-    stats_.set("brownout_shed_total",
-               static_cast<double>(rs.brownoutShed));
-    stats_.set("faults_injected",
-               static_cast<double>(result.faultsInjected));
-    stats_.set("crashes", static_cast<double>(rs.crashes));
+    count("controller_ticks", result.controllerTicks);
+    count("controller_actions", result.controllerActions);
+    count("lost", total.lost);
+    count("retried", total.retried);
+    count("retry_budget_used", total.retried);
+    count("hedge_won", total.hedgeWon);
+    count("brownout_shed_total", rs.brownoutShed);
+    count("faults_injected", result.faultsInjected);
+    count("crashes", rs.crashes);
 
     controller_.reset();
     faults_.reset();

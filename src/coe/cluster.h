@@ -45,6 +45,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -353,8 +354,8 @@ class ClusterSimulator
 
     /**
      * The one-call form: begin(), start the controller when the
-     * config asks for one, run the queue dry, finish(). Re-runnable;
-     * each call stands up a fresh run.
+     * config asks for one, finish(). Re-runnable; each call stands up
+     * a fresh run.
      */
     ClusterResult run();
 
@@ -368,7 +369,7 @@ class ClusterSimulator
      */
     bool begin();
 
-    /** Drain the event queue and assemble the ClusterResult. */
+    /** Run the queue dry (the -j N executor too), build the result. */
     ClusterResult finish();
 
     /** The active run's queue (begin() first). Tests step this. */
@@ -452,18 +453,26 @@ class ClusterSimulator
     struct RunState;
     friend class FaultInjector; // arms faults via scheduleControlAt
 
+    /** The active run; panics without one, FatalError when one of
+     *  @p nodes is out of range (@p what names the caller). */
+    RunState &active(const char *what,
+                     std::initializer_list<int> nodes = {}) const;
     int pickNode(int expert);
     void accrueNodeSeconds();
+    bool takeDown(int node);
+    void commitMigration(int expert, int from, int to, double bytes);
     void scheduleControlAt(sim::Tick when, std::function<void()> cb,
                            const char *name);
     void runParallel();
 
-    // ---- degraded-mode policy internals (cluster.cc) -------------
+    // ---- the delivery seam and the degraded-mode policies (cluster.cc)
+    template <typename Request> int dispatch(Request &&request);
+    template <typename Request>
+    void deliver(int node, Request &&request, int from = -1);
+    template <typename Request> void land(int node, Request &&request);
     void dispatchRequest(const TrafficRequest &request);
     void handleDisplaced(EngineRequest request);
-    void redispatch(EngineRequest request);
-    void forwardRequest(int node, EngineRequest request);
-    void deliverViaFabric(int node, EngineRequest request);
+    void creditHedgeWin(double latency_seconds);
     double estimateDelaySeconds(int node) const;
     void policyTick();
     void armPolicyTick();

@@ -149,18 +149,17 @@ bool
 ClusterController::scalePerSnapshot(const MetricsSnapshot &snap)
 {
     int live = snap.liveNodes;
-    bool wantUp = false;
+    // Both policies scale up on any shed in the window or any
+    // chaos-layer distress (lost or retried requests mean a node
+    // failed — add capacity, don't wait for the queues to show it).
+    // The chaos counters are zero on fault-free runs.
+    bool wantUp = snap.shed > 0 || snap.lost > 0 || snap.retried > 0;
     bool wantDown = false;
     if (cfg_.policy == ControllerPolicy::ReactiveThreshold) {
-        // Scale up on queue pressure, any shed in the window, or any
-        // chaos-layer distress (lost or retried requests mean a node
-        // failed — add capacity, don't wait for the queues to show
-        // it); scale down only once the queues are near-empty. The
-        // chaos counters are zero on fault-free runs, so this changes
-        // nothing for them.
-        wantUp = snap.meanQueueDepthPerLiveNode >
-                cfg_.scaleUpQueueDepth ||
-            snap.shed > 0 || snap.lost > 0 || snap.retried > 0;
+        // ... and on queue pressure; scale down only once the queues
+        // are near-empty.
+        wantUp = wantUp ||
+            snap.meanQueueDepthPerLiveNode > cfg_.scaleUpQueueDepth;
         wantDown = !wantUp &&
             snap.meanQueueDepthPerLiveNode < cfg_.scaleDownQueueDepth;
     } else { // TargetUtilization
@@ -169,8 +168,7 @@ ClusterController::scalePerSnapshot(const MetricsSnapshot &snap)
         double util = capacity > 0.0
             ? snap.arrivalRatePerSec / capacity
             : 0.0;
-        wantUp = util > cfg_.targetUtilization || snap.shed > 0 ||
-            snap.lost > 0 || snap.retried > 0;
+        wantUp = wantUp || util > cfg_.targetUtilization;
         if (!wantUp && live > 1) {
             // Drop a node only if the survivors would still run with
             // 10% headroom under the target and queues are calm.

@@ -328,56 +328,40 @@ FaultInjector::arm()
         return;
     for (const FaultEvent &e : *schedule_) {
         cluster_.scheduleControlAt(
-            sim::fromSeconds(e.atSeconds),
-            [this, e] { fire(e); }, "faults.fire");
+            sim::fromSeconds(e.atSeconds), [this, e] { apply(e, false); },
+            "faults.fire");
         if (e.durationSeconds > 0.0)
             cluster_.scheduleControlAt(
                 sim::fromSeconds(e.atSeconds + e.durationSeconds),
-                [this, e] { heal(e); }, "faults.heal");
+                [this, e] { apply(e, true); }, "faults.heal");
     }
 }
 
 void
-FaultInjector::fire(const FaultEvent &event)
+FaultInjector::apply(const FaultEvent &event, bool heal)
 {
-    ++injected_;
+    if (!heal)
+        ++injected_;
     switch (event.kind) {
     case FaultKind::NodeCrash:
-        cluster_.crashNode(event.node);
+        if (heal)
+            cluster_.rejoinNode(event.node);
+        else
+            cluster_.crashNode(event.node);
         break;
     case FaultKind::DmaStall:
-        cluster_.setNodeDmaFactor(event.node, event.factor);
+        cluster_.setNodeDmaFactor(event.node, heal ? 1.0 : event.factor);
         break;
     case FaultKind::Straggler:
-        cluster_.setNodeServiceFactor(event.node, event.factor);
+        cluster_.setNodeServiceFactor(event.node,
+                                      heal ? 1.0 : event.factor);
         break;
     case FaultKind::FlakyNode:
-        cluster_.setNodeFlakyProbability(event.node, event.factor);
+        cluster_.setNodeFlakyProbability(event.node,
+                                         heal ? 0.0 : event.factor);
         break;
     case FaultKind::LinkDegrade:
-        cluster_.setNodeLinkFactor(event.node, event.factor);
-        break;
-    }
-}
-
-void
-FaultInjector::heal(const FaultEvent &event)
-{
-    switch (event.kind) {
-    case FaultKind::NodeCrash:
-        cluster_.rejoinNode(event.node);
-        break;
-    case FaultKind::DmaStall:
-        cluster_.setNodeDmaFactor(event.node, 1.0);
-        break;
-    case FaultKind::Straggler:
-        cluster_.setNodeServiceFactor(event.node, 1.0);
-        break;
-    case FaultKind::FlakyNode:
-        cluster_.setNodeFlakyProbability(event.node, 0.0);
-        break;
-    case FaultKind::LinkDegrade:
-        cluster_.setNodeLinkFactor(event.node, 1.0);
+        cluster_.setNodeLinkFactor(event.node, heal ? 1.0 : event.factor);
         break;
     }
 }

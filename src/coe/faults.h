@@ -175,8 +175,8 @@ class FaultInjector
     std::int64_t injectedCount() const { return injected_; }
 
   private:
-    void fire(const FaultEvent &event);
-    void heal(const FaultEvent &event);
+    /** Apply @p event's fault, or undo it when @p heal. */
+    void apply(const FaultEvent &event, bool heal);
 
     ClusterSimulator &cluster_;
     std::shared_ptr<const std::vector<FaultEvent>> schedule_;

@@ -411,14 +411,7 @@ ServingSimulator::runEventDriven()
     std::unique_ptr<WorkloadModel> workload = makeWorkloadModel(cfg_);
     TraceRecorder recorder(cfg_.workload.traceOut);
 
-    engine.setOnBatchComplete(
-        [&](int finished) { workload->onBatchComplete(finished); });
-    engine.setOnRequestComplete([&](const EngineRequest &r) {
-        workload->onRequestComplete(toTrafficRequest(r));
-    });
-    engine.setOnRequestShed([&](const EngineRequest &r) {
-        workload->onRequestShed(toTrafficRequest(r));
-    });
+    engine.reportTo(*workload);
     workload->bind(eq, [&](const TrafficRequest &r) {
         recorder.record(r, eq.now());
         engine.inject(r);
@@ -442,79 +435,34 @@ ServingSimulator::runEventDriven()
     stalls_ = engine.stalls();
     stats_ = engine.stats();
 
-    std::int64_t completed = engine.completedCount();
-    std::int64_t batches = engine.batchCount();
-    std::int64_t misses = engine.missCount();
+    RunTotals t;
+    t.add(engine);
+    t.eventsExecuted = eq.executedCount();
     double makespan = sim::toSeconds(
         engine.lastCompletion() -
         std::max<sim::Tick>(engine.firstArrival(), 0));
+    result.stream = streamMetrics(t, latency_, stalls_, makespan, cfg_);
 
-    StreamMetrics &m = result.stream;
-    m.p50LatencySeconds = latency_.quantile(0.50);
-    m.p95LatencySeconds = latency_.quantile(0.95);
-    m.p99LatencySeconds = latency_.quantile(0.99);
-    m.meanLatencySeconds = latency_.mean();
-    m.maxLatencySeconds = latency_.max();
-    m.completed = completed;
-    m.batches = batches;
-    m.meanBatchOccupancy = batches > 0
-        ? engine.occupancyTotal() / static_cast<double>(batches)
-        : 0.0;
-    m.makespanSeconds = makespan;
-    if (makespan > 0.0) {
-        m.throughputRequestsPerSec =
-            static_cast<double>(completed) / makespan;
-        m.throughputTokensPerSec = m.throughputRequestsPerSec *
-            static_cast<double>(cfg_.outputTokens);
-        m.meanQueueDepth = engine.depthIntegral() / makespan;
-    }
-    m.maxQueueDepth = engine.queueDepthMax();
-    m.eventsExecuted = eq.executedCount();
-
-    m.meanSwitchStallSeconds = stalls_.mean();
-    m.p95SwitchStallSeconds = stalls_.quantile(0.95);
-    m.prefetchesIssued =
-        static_cast<std::int64_t>(stats_.get("prefetches_issued"));
-    m.prefetchHits =
-        static_cast<std::int64_t>(stats_.get("prefetch_hits"));
-    m.prefetchesCancelled =
-        static_cast<std::int64_t>(stats_.get("prefetches_cancelled"));
-
-    if (cfg_.specDecode.enabled) {
-        m.specSteps = engine.specStepsTotal();
-        m.specTokensPerStep = m.specSteps > 0
-            ? static_cast<double>(completed) *
-                static_cast<double>(cfg_.outputTokens) /
-                static_cast<double>(m.specSteps)
-            : 0.0;
-        stats_.set("spec_steps", static_cast<double>(m.specSteps));
-    }
-
-    m.shed = engine.shedCount();
-    m.shedRate = completed + m.shed > 0
-        ? static_cast<double>(m.shed) /
-            static_cast<double>(completed + m.shed)
-        : 0.0;
-
-    stats_.set("shed", static_cast<double>(m.shed));
-    stats_.set("queue_depth_max", engine.queueDepthMax());
-    stats_.set("events_executed",
-               static_cast<double>(eq.executedCount()));
-    stats_.set("batches", static_cast<double>(batches));
-    stats_.set("completed", static_cast<double>(completed));
-    stats_.set("misses", static_cast<double>(misses));
-    stats_.set("hits", static_cast<double>(completed - misses));
+    if (cfg_.specDecode.enabled)
+        stats_.set("spec_steps", static_cast<double>(t.specSteps));
+    stats_.set("shed", static_cast<double>(t.shed));
+    stats_.set("queue_depth_max", t.queueDepthMax);
+    stats_.set("events_executed", static_cast<double>(t.eventsExecuted));
+    stats_.set("batches", static_cast<double>(t.batches));
+    stats_.set("completed", static_cast<double>(t.completed));
+    stats_.set("misses", static_cast<double>(t.misses));
+    stats_.set("hits", static_cast<double>(t.completed - t.misses));
     stats_.set("dma_loads_issued",
                engine.memorySystem().stats().get("issued_loads"));
     stats_.set("dma_load_bytes",
                engine.memorySystem().stats().get("load_bytes"));
 
-    double b = static_cast<double>(std::max<std::int64_t>(batches, 1));
+    double b = static_cast<double>(std::max<std::int64_t>(t.batches, 1));
     result.perBatch.routerSeconds = engine.routerSecondsTotal() / b;
     result.perBatch.switchSeconds = engine.switchSecondsTotal() / b;
     result.perBatch.execSeconds = engine.execSecondsTotal() / b;
-    result.missRate = completed > 0
-        ? static_cast<double>(misses) / static_cast<double>(completed)
+    result.missRate = t.completed > 0
+        ? static_cast<double>(t.misses) / static_cast<double>(t.completed)
         : 0.0;
     result.expertSecondsPerPrompt =
         costs_.prefillSeconds +

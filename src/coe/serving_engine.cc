@@ -310,12 +310,17 @@ ServingEngine::samplePeakResident()
 }
 
 void
-ServingEngine::inject(int id, int expert)
+ServingEngine::reportTo(WorkloadModel &workload)
 {
-    TrafficRequest req;
-    req.id = id;
-    req.expert = expert;
-    inject(req);
+    onBatchComplete_ = [&workload](int finished) {
+        workload.onBatchComplete(finished);
+    };
+    onRequestComplete_ = [&workload](const EngineRequest &r) {
+        workload.onRequestComplete(toTrafficRequest(r));
+    };
+    onRequestShed_ = [&workload](const EngineRequest &r) {
+        workload.onRequestShed(toTrafficRequest(r));
+    };
 }
 
 void
@@ -791,6 +796,77 @@ ServingEngine::formBatch()
                    },
                    "coe.router_done");
     maybePrefetch();
+}
+
+void
+RunTotals::add(const ServingEngine &engine)
+{
+    completed += engine.completedCount();
+    shed += engine.shedCount();
+    batches += engine.batchCount();
+    misses += engine.missCount();
+    specSteps += engine.specStepsTotal();
+    prefetchesIssued += static_cast<std::int64_t>(
+        engine.stats().get("prefetches_issued"));
+    prefetchHits +=
+        static_cast<std::int64_t>(engine.stats().get("prefetch_hits"));
+    prefetchesCancelled += static_cast<std::int64_t>(
+        engine.stats().get("prefetches_cancelled"));
+    occupancyTotal += engine.occupancyTotal();
+    depthIntegral += engine.depthIntegral();
+    queueDepthMax = std::max(queueDepthMax, engine.queueDepthMax());
+    lastCompletion = std::max(lastCompletion, engine.lastCompletion());
+}
+
+StreamMetrics
+streamMetrics(const RunTotals &t, const sim::Distribution &latency,
+              const sim::Distribution &stalls, double makespanSeconds,
+              const ServingConfig &cfg)
+{
+    StreamMetrics m;
+    m.p50LatencySeconds = latency.quantile(0.50);
+    m.p95LatencySeconds = latency.quantile(0.95);
+    m.p99LatencySeconds = latency.quantile(0.99);
+    m.meanLatencySeconds = latency.mean();
+    m.maxLatencySeconds = latency.max();
+    m.completed = t.completed;
+    m.batches = t.batches;
+    m.meanBatchOccupancy = t.batches > 0
+        ? t.occupancyTotal / static_cast<double>(t.batches)
+        : 0.0;
+    m.makespanSeconds = makespanSeconds;
+    if (makespanSeconds > 0.0) {
+        m.throughputRequestsPerSec =
+            static_cast<double>(t.completed) / makespanSeconds;
+        m.throughputTokensPerSec = m.throughputRequestsPerSec *
+            static_cast<double>(cfg.outputTokens);
+        m.meanQueueDepth = t.depthIntegral / makespanSeconds;
+    }
+    m.maxQueueDepth = t.queueDepthMax;
+    m.meanSwitchStallSeconds = stalls.mean();
+    m.p95SwitchStallSeconds = stalls.quantile(0.95);
+    m.prefetchesIssued = t.prefetchesIssued;
+    m.prefetchHits = t.prefetchHits;
+    m.prefetchesCancelled = t.prefetchesCancelled;
+    m.shed = t.shed;
+    m.shedRate = t.completed + t.shed > 0
+        ? static_cast<double>(t.shed) /
+            static_cast<double>(t.completed + t.shed)
+        : 0.0;
+    m.lost = t.lost;
+    m.retried = t.retried;
+    m.hedged = t.hedged;
+    m.hedgeWon = t.hedgeWon;
+    if (cfg.specDecode.enabled) {
+        m.specSteps = t.specSteps;
+        m.specTokensPerStep = t.specSteps > 0
+            ? static_cast<double>(t.completed) *
+                static_cast<double>(cfg.outputTokens) /
+                static_cast<double>(t.specSteps)
+            : 0.0;
+    }
+    m.eventsExecuted = t.eventsExecuted;
+    return m;
 }
 
 } // namespace sn40l::coe

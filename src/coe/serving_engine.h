@@ -177,12 +177,8 @@ class ServingEngine
         onRequestShed_ = std::move(hook);
     }
 
-    /**
-     * Admit request @p id for @p expert; must be called from inside an
-     * event on the shared queue. The request's arrival timestamp is
-     * now().
-     */
-    void inject(int id, int expert);
+    /** Point all three hooks above at @p workload. */
+    void reportTo(WorkloadModel &workload);
 
     /**
      * Admit a workload-sourced request (tenant, session, per-request
@@ -319,7 +315,6 @@ class ServingEngine
 
     CoeRuntime &runtime() { return runtime_; }
     mem::MemorySystem &memorySystem() { return memsys_; }
-    const ExpertZoo &zoo() const { return zoo_; }
 
   private:
     void touchDepth(std::size_t next_depth);
@@ -471,6 +466,33 @@ class ServingEngine
     double &hedgeCompletionsStat_;
     double &cancelledQueuedStat_;
 };
+
+/**
+ * The counters a run's StreamMetrics is built from: its engines'
+ * totals summed (add() each engine in node order), plus the cluster
+ * hub's ledger, which a single-node run leaves at zero.
+ */
+struct RunTotals
+{
+    std::int64_t completed = 0, shed = 0, batches = 0, misses = 0,
+                 specSteps = 0, prefetchesIssued = 0, prefetchHits = 0,
+                 prefetchesCancelled = 0;
+    double occupancyTotal = 0.0, depthIntegral = 0.0, queueDepthMax = 0.0;
+    sim::Tick lastCompletion = 0;
+    std::int64_t lost = 0, retried = 0, hedged = 0, hedgeWon = 0;
+    std::uint64_t eventsExecuted = 0;
+
+    void add(const ServingEngine &engine);
+};
+
+/**
+ * The one StreamMetrics builder, for one node and for a cluster alike;
+ * the makespan runs from the first arrival to the last completion.
+ */
+StreamMetrics streamMetrics(const RunTotals &totals,
+                            const sim::Distribution &latency,
+                            const sim::Distribution &stalls,
+                            double makespanSeconds, const ServingConfig &cfg);
 
 } // namespace sn40l::coe
 

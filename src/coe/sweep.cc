@@ -38,9 +38,9 @@ SweepGrid::points() const
         ? std::vector<std::uint64_t>{base.seed}
         : seeds;
 
-    // Cluster axes: nodes == 0 marks the classic single-node path.
-    std::vector<int> nodes =
-        nodeCounts.empty() ? std::vector<int>{0} : nodeCounts;
+    // Cluster axes: an empty node axis keeps the single-node path.
+    const bool cluster = !nodeCounts.empty();
+    std::vector<int> nodes = cluster ? nodeCounts : std::vector<int>{0};
     std::vector<PlacementPolicy> places = placements.empty()
         ? std::vector<PlacementPolicy>{PlacementPolicy::FullReplication}
         : placements;
@@ -60,13 +60,14 @@ SweepGrid::points() const
                             p.cfg.batch = b;
                             p.cfg.scheduler = pol;
                             p.cfg.seed = seed;
+                            p.cluster = cluster;
                             p.nodes = n;
                             p.placement = place;
                             p.dispatch = dispatch;
                             p.faults = faults;
                             p.faultPolicy = faultPolicy;
                             p.ratePerNode = rate;
-                            if (n > 0 && scaleRateWithNodes)
+                            if (cluster && scaleRateWithNodes)
                                 p.cfg.arrivalRatePerSec = rate * n;
                             p.index = index++;
                             p.label = "e" + std::to_string(e) + "/r" +
@@ -74,7 +75,7 @@ SweepGrid::points() const
                                       std::to_string(b) + "/" +
                                       schedulerPolicyName(pol) + "/s" +
                                       std::to_string(seed);
-                            if (n > 0)
+                            if (cluster)
                                 p.label = "n" + std::to_string(n) + "/" +
                                           placementPolicyName(place) +
                                           "/" + p.label;
@@ -89,6 +90,19 @@ SweepGrid::points() const
     return out;
 }
 
+ClusterConfig
+clusterConfig(const SweepPoint &point)
+{
+    ClusterConfig cluster;
+    cluster.node = point.cfg;
+    cluster.nodes = point.nodes;
+    cluster.placement = point.placement;
+    cluster.dispatch = point.dispatch;
+    cluster.faults = point.faults;
+    cluster.faultPolicy = point.faultPolicy;
+    return cluster;
+}
+
 namespace {
 
 SweepPointResult
@@ -97,15 +111,8 @@ runPoint(const SweepPoint &point)
     SweepPointResult r;
     r.point = point;
     auto start = std::chrono::steady_clock::now();
-    if (point.nodes > 0) {
-        ClusterConfig cluster;
-        cluster.node = point.cfg;
-        cluster.nodes = point.nodes;
-        cluster.placement = point.placement;
-        cluster.dispatch = point.dispatch;
-        cluster.faults = point.faults;
-        cluster.faultPolicy = point.faultPolicy;
-        ClusterResult cr = ClusterSimulator(cluster).run();
+    if (point.cluster) {
+        ClusterResult cr = ClusterSimulator(clusterConfig(point)).run();
         r.result.oom = cr.oom;
         r.result.stream = cr.stream;
         r.result.missRate = cr.missRate;

@@ -27,16 +27,17 @@ namespace sn40l::coe {
 
 /**
  * One grid point: a fully resolved serving configuration, optionally
- * lifted onto a cluster. nodes == 0 runs the single-node
- * ServingSimulator (the historical behaviour); nodes >= 1 runs a
- * ClusterSimulator with the given placement/dispatch and per-node
- * arrival rate cfg.arrivalRatePerSec (the grid scales offered load
- * with node count so points stay comparable).
+ * lifted onto a cluster. A non-cluster point runs the single-node
+ * ServingSimulator (the historical behaviour); a cluster point runs
+ * the ClusterSimulator that clusterConfig() builds, whose
+ * cfg.arrivalRatePerSec the grid scales with the node count so points
+ * stay comparable.
  */
 struct SweepPoint
 {
     ServingConfig cfg;
-    int nodes = 0; ///< 0: single-node path; >= 1: cluster path
+    bool cluster = false; ///< false: the single-node path
+    int nodes = 0;        ///< cluster points: the node count
     PlacementPolicy placement = PlacementPolicy::FullReplication;
     DispatchPolicy dispatch = DispatchPolicy::RoundRobin;
     /**
@@ -50,7 +51,7 @@ struct SweepPoint
     std::string label;
 
     /**
-     * Chaos layer for cluster points (nodes >= 1): the fault schedule
+     * Chaos layer for cluster points: the fault schedule
      * is parsed once and shared across every point (same pattern as
      * replayed traces), the policy knobs apply uniformly. Single-node
      * points ignore both.
@@ -95,11 +96,17 @@ struct SweepPointResult
     double wallSeconds = 0.0;          ///< host time for this point
     std::uint64_t eventsExecuted = 0;  ///< simulator events it ran
 
-    /** Cluster-only extras (nodes >= 1 points). */
+    /** Cluster-only extras. */
     double loadImbalance = 0.0;
     double placedBytesTotal = 0.0;
     int expertReplicas = 0;
 };
+
+/**
+ * The ClusterConfig a cluster point runs; the sweep runner and the
+ * CLI's validation both build it here.
+ */
+ClusterConfig clusterConfig(const SweepPoint &point);
 
 /**
  * Run every point and return results in point order. @p jobs > 1

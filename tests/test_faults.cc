@@ -16,12 +16,14 @@
 #include <cstdio>
 #include <limits>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "coe/cluster.h"
 #include "coe/faults.h"
 #include "sim/log.h"
+#include "sim/ticks.h"
 
 using namespace sn40l;
 using namespace sn40l::coe;
@@ -461,6 +463,108 @@ TEST(FaultCluster, FaultedRunBitIdenticalAcrossThreads)
         EXPECT_EQ(serial.nodes[i].completed,
                   sharded.nodes[i].completed);
     }
+}
+
+namespace {
+
+/**
+ * Run @p cfg with a snapshot every 0.25 s of simulated time until
+ * @p horizon seconds, well past the run's end, and check that the
+ * windows sum to the result's totals: a snapshot is the difference of
+ * two cumulative counter values, so nothing is counted twice or lost
+ * between windows. Link utilizations must stay in [0, 1].
+ */
+ClusterResult
+expectSnapshotsTelescope(const ClusterConfig &cfg, double horizon)
+{
+    ClusterSimulator sim(cfg);
+    if (!sim.begin()) {
+        ADD_FAILURE() << "placement does not fit";
+        return {};
+    }
+    MetricsSnapshot sum;
+    sum.nodes.resize(static_cast<std::size_t>(cfg.nodes));
+    int windows = 0;
+    bool idleAtLast = false;
+    const sim::Tick period = sim::fromSeconds(0.25);
+    std::function<void()> probe = [&]() {
+        MetricsSnapshot s = sim.snapshot();
+        ++windows;
+        sum.arrivals += s.arrivals;
+        sum.completions += s.completions;
+        sum.shed += s.shed;
+        sum.lost += s.lost;
+        sum.retried += s.retried;
+        sum.hedged += s.hedged;
+        sum.hedgeWon += s.hedgeWon;
+        for (std::size_t n = 0; n < s.nodes.size(); ++n)
+            sum.nodes[n].dispatched += s.nodes[n].dispatched;
+        EXPECT_EQ(s.links.empty(), !cfg.fabric.enabled);
+        for (const MetricsSnapshot::LinkSnapshot &l : s.links) {
+            EXPECT_GE(l.utilization, 0.0) << l.from << "->" << l.to;
+            EXPECT_LE(l.utilization, 1.0) << l.from << "->" << l.to;
+        }
+        idleAtLast = sim.idle();
+        if (s.atSeconds + 0.25 <= horizon)
+            sim.scheduleControlIn(period, probe, "test.snapshot");
+    };
+    sim.scheduleControlIn(period, probe, "test.snapshot");
+    ClusterResult r = sim.finish();
+
+    EXPECT_GT(windows, 4);
+    EXPECT_TRUE(idleAtLast) << "the horizon ends before the run";
+    EXPECT_EQ(sum.arrivals, cfg.node.streamRequests);
+    EXPECT_EQ(sum.completions, r.stream.completed);
+    EXPECT_EQ(sum.shed, r.stream.shed);
+    EXPECT_EQ(sum.lost, r.stream.lost);
+    EXPECT_EQ(sum.retried, r.stream.retried);
+    EXPECT_EQ(sum.hedged, r.stream.hedged);
+    EXPECT_EQ(sum.hedgeWon, r.stream.hedgeWon);
+    EXPECT_EQ(r.nodes.size(), sum.nodes.size());
+    for (std::size_t n = 0; n < r.nodes.size(); ++n)
+        EXPECT_EQ(sum.nodes[n].dispatched, r.nodes[n].dispatched) << n;
+    return r;
+}
+
+} // namespace
+
+TEST(FaultCluster, SnapshotWindowsTelescopeToTheResult)
+{
+    // Crash, flaky dispatch, a straggler (so hedges win), retries
+    // under a budget, and brown-out all move the hub-side ledger;
+    // serial and sharded runs must both telescope.
+    ClusterConfig cfg = clusterConfig(4);
+    cfg.dispatch = DispatchPolicy::RoundRobin;
+    cfg.node.workload.sloSeconds = 0.6;
+    cfg.faults = schedule({
+        {1.0, FaultKind::Straggler, 1, 6.0, 8.0},
+        {2.0, FaultKind::NodeCrash, 2, 1.0, 5.0},
+        {4.0, FaultKind::DmaStall, 0, 3.0, 3.0},
+        {6.0, FaultKind::FlakyNode, 3, 0.4, 3.0},
+    });
+    cfg.faultPolicy.retryMax = 3;
+    cfg.faultPolicy.retryBudget = 1;
+    cfg.faultPolicy.retryBackoffSeconds = 0.02;
+    cfg.faultPolicy.hedge = true;
+    cfg.faultPolicy.hedgeThreshold = 1.0;
+    cfg.faultPolicy.brownoutDepth = 6.0;
+    cfg.faultPolicy.policyTickSeconds = 0.05;
+    ClusterResult serial = expectSnapshotsTelescope(cfg, 30.0);
+    // Every hub-side counter moves in this run.
+    EXPECT_GT(serial.stream.shed, 0);
+    EXPECT_GT(serial.stream.lost, 0);
+    EXPECT_GT(serial.stream.retried, 0);
+    EXPECT_GT(serial.stream.hedgeWon, 0);
+    cfg.threads = 3;
+    expectSnapshotsTelescope(cfg, 30.0);
+
+    // Over the fabric, with node 1's links stretched mid-run.
+    ClusterConfig fab = clusterConfig(4);
+    fab.fabric.enabled = true;
+    fab.fabric.linkGbps = 2.0;
+    fab.dispatch = DispatchPolicy::TopologyAware;
+    fab.faults = schedule({{2.0, FaultKind::LinkDegrade, 1, 40.0, 4.0}});
+    expectSnapshotsTelescope(fab, 30.0);
 }
 
 TEST(FaultCluster, HugeDmaStallFactorIsFatalAtEveryThreadCount)

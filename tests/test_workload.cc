@@ -853,6 +853,9 @@ TEST(FlagValidation, EveryNumericFlagRejectsNanInfAndOutOfRange)
         {"sweep", {}, "--seeds", "1,2", all},
         {"sweep", {}, "--jobs", "2", all},
         {"sweep", {"--nodes", "2"}, "--brownout-depth", "4", all},
+        // the repro: node counts below 1 ran single-node rows
+        {"sweep", {"--requests", "50"}, "--nodes", "1,2",
+         {"-1,0", "0", "nan", "inf"}},
         // cluster shape, scenarios and execution
         {"cluster", {}, "--nodes", "2", all},
         {"cluster", rr, "--threads", "2", all},

@@ -392,12 +392,9 @@ parseScheduleList(const FlagParser &p, const std::string &csv)
                    "' is not KIND:AT[:ARG]");
         coe::ScheduledAction a;
         a.atSeconds = parseDouble(parts[1]);
-        if (parts[0] == "drain") {
-            a.kind = coe::ActionKind::Drain;
-            if (parts.size() == 3)
-                a.node = parseInteger<int>(parts[2]);
-        } else if (parts[0] == "rejoin") {
-            a.kind = coe::ActionKind::Rejoin;
+        if (parts[0] == "drain" || parts[0] == "rejoin") {
+            a.kind = parts[0] == "drain" ? coe::ActionKind::Drain
+                                         : coe::ActionKind::Rejoin;
             if (parts.size() == 3)
                 a.node = parseInteger<int>(parts[2]);
         } else if (parts[0] == "rate") {
@@ -726,8 +723,12 @@ parseSweepArgs(FlagParser &p, const std::vector<std::string> &args,
     else
         grid.policies = {coe::schedulerPolicyFromName(scheduler_name)};
     p.validate([&] {
-        for (const coe::SweepPoint &point : grid.points())
-            coe::validateServingConfig(point.cfg);
+        for (const coe::SweepPoint &point : grid.points()) {
+            if (point.cluster)
+                coe::validateClusterConfig(coe::clusterConfig(point));
+            else
+                coe::validateServingConfig(point.cfg);
+        }
         coe::validateFaultPolicy(grid.faultPolicy);
     });
     return out;
