@@ -439,8 +439,7 @@ ServingSimulator::runEventDriven()
     t.add(engine);
     t.eventsExecuted = eq.executedCount();
     double makespan = sim::toSeconds(
-        engine.lastCompletion() -
-        std::max<sim::Tick>(engine.firstArrival(), 0));
+        t.lastCompletion - std::max<sim::Tick>(engine.firstArrival(), 0));
     result.stream = streamMetrics(t, latency_, stalls_, makespan, cfg_);
 
     if (cfg_.specDecode.enabled)
